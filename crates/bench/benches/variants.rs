@@ -10,7 +10,7 @@ fn main() {
     for v in Variant::ALL {
         let compiler = Compiler::for_variant(v);
         bench_loop(&format!("compile_huffman/{}", v.label()), 3, 20, || {
-            compiler.compile(&m)
+            compiler.try_compile(&m).expect("compiles")
         });
     }
 }

@@ -12,7 +12,7 @@ fn main() {
     for name in ["compress", "huffman", "mpegaudio"] {
         let m = sxe_workloads::by_name(name).expect("exists").build(96);
         for v in [Variant::Baseline, Variant::All] {
-            let compiled = Compiler::for_variant(v).compile(&m);
+            let compiled = Compiler::for_variant(v).try_compile(&m).expect("compiles");
             for engine in [Engine::Decoded, Engine::Tree] {
                 let mut vm =
                     Vm::builder(&compiled.module).target(Target::Ia64).engine(engine).build();

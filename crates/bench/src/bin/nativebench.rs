@@ -117,8 +117,13 @@ fn main() -> ExitCode {
     let (mut base_total, mut all_total) = (Duration::ZERO, Duration::ZERO);
     for w in sxe_workloads::all() {
         let m = w.build(scaled(&w, scale));
-        let base = base_compiler.compile(&m).module;
-        let all = all_compiler.compile(&m).module;
+        let (base, all) = match (base_compiler.try_compile(&m), all_compiler.try_compile(&m)) {
+            (Ok(base), Ok(all)) => (base.module, all.module),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("nativebench: {}: compile refused: {e}", w.name);
+                return ExitCode::FAILURE;
+            }
+        };
         let (bt, bout, _, bext) = measure(&base, Engine::Native, repeats);
         let (at, aout, ainsts, aext) = measure(&all, Engine::Native, repeats);
         assert_eq!(

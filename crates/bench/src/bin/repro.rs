@@ -8,10 +8,11 @@
 //! e.g. `--scale 0.1` for a quick pass).
 
 use sxe_bench::{
-    compile_time_table, dynamic_extend_table, dynamic_extend_table_on, figure_series,
-    render_compile_times, render_speedups, render_table, speedup_figure, CountTable,
+    compile_time_table, dynamic_extend_table_on, figure_series, render_compile_times,
+    render_speedups, render_table, speedup_figure, CountTable,
 };
 use sxe_ir::Target;
+use sxe_jit::CompileError;
 use sxe_workloads::Suite;
 
 struct Lazy {
@@ -24,12 +25,12 @@ impl Lazy {
     fn table1(&mut self) -> &CountTable {
         let scale = self.scale;
         self.t1
-            .get_or_insert_with(|| dynamic_extend_table(Suite::JByteMark, scale))
+            .get_or_insert_with(|| table(Suite::JByteMark, scale, Target::Ia64))
     }
     fn table2(&mut self) -> &CountTable {
         let scale = self.scale;
         self.t2
-            .get_or_insert_with(|| dynamic_extend_table(Suite::SpecJvm98, scale))
+            .get_or_insert_with(|| table(Suite::SpecJvm98, scale, Target::Ia64))
     }
 }
 
@@ -78,23 +79,30 @@ fn main() {
     }
     if wants("fig13") {
         println!("== Figure 13: estimated performance improvement (jBYTEmark) ==");
-        println!("{}", render_speedups(&speedup_figure(Suite::JByteMark, scale)));
+        println!("{}", render_speedups(&or_exit(speedup_figure(Suite::JByteMark, scale))));
     }
     if wants("fig14") {
         println!("== Figure 14: estimated performance improvement (SPECjvm98) ==");
-        println!("{}", render_speedups(&speedup_figure(Suite::SpecJvm98, scale)));
+        println!("{}", render_speedups(&or_exit(speedup_figure(Suite::SpecJvm98, scale))));
     }
     if wants("table3") {
         println!("== Table 3: breakdown of JIT compilation time ==");
-        println!("{}", render_compile_times(&compile_time_table(scale, 5)));
+        println!("{}", render_compile_times(&or_exit(compile_time_table(scale, 5))));
     }
     if what.iter().any(|w| w == "ppc64") {
         println!("== Extra: Table 1 on PPC64 (lwa loads sign-extend) ==");
-        println!(
-            "{}",
-            render_table(&dynamic_extend_table_on(Suite::JByteMark, scale, Target::Ppc64))
-        );
+        println!("{}", render_table(&table(Suite::JByteMark, scale, Target::Ppc64)));
     }
+}
+
+fn table(suite: Suite, scale: f64, target: Target) -> CountTable {
+    or_exit(dynamic_extend_table_on(suite, scale, target))
+}
+
+/// Unwrap a table, exiting with the compile error if a workload was
+/// refused.
+fn or_exit<T>(result: Result<T, CompileError>) -> T {
+    result.unwrap_or_else(|e| die(&format!("workload compile refused: {e}")))
 }
 
 fn die(msg: &str) -> ! {

@@ -47,18 +47,23 @@ fn fingerprint(c: &Compiled) -> Fingerprint {
 
 fn check_determinism(scale: f64) -> ExitCode {
     let sequential = Compiler::for_variant(Variant::All);
-    let sharded = Compiler::for_variant(Variant::All).with_threads(4);
+    let sharded = Compiler::builder(Variant::All).threads(4).build();
     let mut failures = 0u32;
     for w in sxe_workloads::all() {
         let size = ((w.default_size as f64 * scale) as u32).max(4);
         let m = w.build(size);
-        let seq = fingerprint(&sequential.compile(&m));
-        let par = fingerprint(&sharded.compile(&m));
-        if seq == par {
-            println!("throughput: {:<16} threads 1 vs 4: identical", w.name);
-        } else {
-            eprintln!("throughput: {:<16} threads 1 vs 4: DIVERGED", w.name);
-            failures += 1;
+        match (sequential.try_compile(&m), sharded.try_compile(&m)) {
+            (Ok(seq), Ok(par)) if fingerprint(&seq) == fingerprint(&par) => {
+                println!("throughput: {:<16} threads 1 vs 4: identical", w.name);
+            }
+            (Ok(_), Ok(_)) => {
+                eprintln!("throughput: {:<16} threads 1 vs 4: DIVERGED", w.name);
+                failures += 1;
+            }
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("throughput: {:<16} compile refused: {e}", w.name);
+                failures += 1;
+            }
         }
     }
     if failures == 0 {
@@ -132,7 +137,13 @@ fn main() -> ExitCode {
         "throughput: batch-compiling {} workloads per point (scale {scale}, best of {repeats})",
         sxe_workloads::all().len()
     );
-    let points = compile_throughput(scale, &threads, repeats);
+    let points = match compile_throughput(scale, &threads, repeats) {
+        Ok(points) => points,
+        Err(e) => {
+            eprintln!("throughput: compile refused: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     print!("{}", render_throughput(&points));
     if let Some(path) = &metrics {
         let tel = Telemetry::enabled();
@@ -143,7 +154,10 @@ fn main() -> ExitCode {
             .iter()
             .map(|w| w.build(((w.default_size as f64 * scale) as u32).max(4)))
             .collect();
-        std::hint::black_box(compiler.compile_batch(&modules));
+        if let Err(e) = compiler.try_compile_batch(&modules) {
+            eprintln!("throughput: compile refused: {e}");
+            return ExitCode::FAILURE;
+        }
         if let Err(e) = std::fs::write(path, tel.metrics_json()) {
             eprintln!("throughput: cannot write {path}: {e}");
             return ExitCode::FAILURE;

@@ -85,7 +85,13 @@ fn main() -> ExitCode {
     let mut insts_total = 0u64;
     for w in sxe_workloads::all() {
         let m = w.build(scaled(&w, scale));
-        let compiled = compiler.compile(&m);
+        let compiled = match compiler.try_compile(&m) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("vmbench: {}: compile refused: {e}", w.name);
+                return ExitCode::FAILURE;
+            }
+        };
         let (tt, tout, tinsts) = measure(&compiled.module, Engine::Tree, repeats);
         let (dt, dout, dinsts) = measure(&compiled.module, Engine::Decoded, repeats);
         assert_eq!(

@@ -112,15 +112,24 @@ pub fn chaos_sweep_with(
         // The oracle reference is the conversion-only (Baseline) compile:
         // the raw 32-bit module is not meaningful on the 64-bit machine
         // model until step 1 has inserted its sign extensions.
-        let reference = Compiler::for_variant(Variant::Baseline).compile(&module).module;
-        let dry = Compiler::for_variant(Variant::All).compile(&module);
+        let (reference, dry) = match (
+            Compiler::for_variant(Variant::Baseline).try_compile(&module),
+            Compiler::for_variant(Variant::All).try_compile(&module),
+        ) {
+            (Ok(reference), Ok(dry)) => (reference.module, dry),
+            (Err(e), _) | (_, Err(e)) => {
+                errors.push(format!("{name}: fault-free compilation REFUSED ({e})"));
+                continue;
+            }
+        };
         let boundaries = dry.report.boundaries() as u32;
         for seed in seeds.clone() {
             let plan = FaultPlan::from_seed(seed, boundaries);
-            let compiler = Compiler::for_variant(Variant::All)
-                .with_threads(threads)
-                .with_telemetry(telemetry.clone())
-                .with_fault_plan(plan);
+            let compiler = Compiler::builder(Variant::All)
+                .threads(threads)
+                .telemetry(telemetry.clone())
+                .fault_plan(plan)
+                .build();
             let compiled =
                 match panic::catch_unwind(AssertUnwindSafe(|| compiler.try_compile(&module))) {
                     Ok(Ok(c)) => c,

@@ -9,7 +9,8 @@
 //!   series);
 //! * [`speedup_figure`] — Figures 13 and 14 (estimated run-time
 //!   improvement over the baseline, via the VM cycle model);
-//! * [`compile_time_table`] — Table 3 (JIT compile-time breakdown).
+//! * [`compile_time_table`] — Table 3 (JIT compile-time breakdown),
+//!   aggregated from the compiler's own telemetry spans.
 //!
 //! The `repro` binary prints them: `cargo run -p sxe-bench --bin repro --release`.
 
@@ -27,7 +28,8 @@ use std::fmt::Write as _;
 
 use sxe_core::Variant;
 use sxe_ir::{Target, Width};
-use sxe_jit::{Compiled, Compiler};
+use sxe_jit::{CompileError, Compiled, Compiler, Telemetry};
+use sxe_telemetry::{ArgValue, Event};
 use sxe_vm::Vm;
 use sxe_workloads::{Suite, Workload};
 
@@ -86,10 +88,13 @@ fn scaled(w: &Workload, scale: f64) -> u32 {
 /// runs, 1.0 for the full reproduction).
 ///
 /// # Panics
-/// Panics if a workload traps — that would be a compiler bug.
+/// Panics if a workload fails to compile or traps — that would be a
+/// compiler bug. [`dynamic_extend_table_on`] returns the compile error
+/// instead.
 #[must_use]
 pub fn dynamic_extend_table(suite: Suite, scale: f64) -> CountTable {
     dynamic_extend_table_on(suite, scale, Target::Ia64)
+        .unwrap_or_else(|e| panic!("workload compile refused: {e}"))
 }
 
 /// [`dynamic_extend_table`] for an explicit target. On
@@ -97,10 +102,16 @@ pub fn dynamic_extend_table(suite: Suite, scale: f64) -> CountTable {
 /// sign-extends), reproducing the paper's remark that elimination
 /// matters even more on architectures without implicit sign extension.
 ///
+/// # Errors
+/// The first [`CompileError`] a workload produces.
+///
 /// # Panics
 /// Panics if a workload traps — that would be a compiler bug.
-#[must_use]
-pub fn dynamic_extend_table_on(suite: Suite, scale: f64, target: Target) -> CountTable {
+pub fn dynamic_extend_table_on(
+    suite: Suite,
+    scale: f64,
+    target: Target,
+) -> Result<CountTable, CompileError> {
     let workloads: Vec<Workload> = sxe_workloads::all()
         .into_iter()
         .filter(|w| w.suite == suite)
@@ -108,14 +119,14 @@ pub fn dynamic_extend_table_on(suite: Suite, scale: f64, target: Target) -> Coun
     let mut baseline: Vec<u64> = Vec::new();
     let mut rows = Vec::new();
     for variant in Variant::ALL {
-        let compiler = Compiler::for_variant(variant).with_target(target);
+        let compiler = Compiler::builder(variant).target(target).build();
         let mut cells = Vec::new();
         for (i, w) in workloads.iter().enumerate() {
             let m = w.build(scaled(w, scale));
             // Paper-faithful: the combined interpreter + dynamic compiler
             // profiles the code before optimizing, feeding measured block
             // frequencies to order determination.
-            let compiled = compiler.compile_profiled(&m, "main", &[]);
+            let compiled = compiler.try_compile_profiled(&m, "main", &[])?;
             let (count, _, _) = run_counting(&compiled, target);
             let base = if variant == Variant::Baseline {
                 baseline.push(count.max(1));
@@ -128,11 +139,11 @@ pub fn dynamic_extend_table_on(suite: Suite, scale: f64, target: Target) -> Coun
         let avg_pct = cells.iter().map(|c| c.pct).sum::<f64>() / cells.len() as f64;
         rows.push(Row { variant, cells, avg_pct });
     }
-    CountTable {
+    Ok(CountTable {
         suite,
         workloads: workloads.iter().map(|w| w.name.to_string()).collect(),
         rows,
-    }
+    })
 }
 
 /// Render a [`CountTable`] as aligned text in the paper's layout.
@@ -192,10 +203,12 @@ pub struct SpeedupBar {
 /// Figures 13/14: per-workload estimated improvement of the full
 /// algorithm over the baseline.
 ///
+/// # Errors
+/// The first [`CompileError`] a workload produces.
+///
 /// # Panics
 /// Panics if a workload traps.
-#[must_use]
-pub fn speedup_figure(suite: Suite, scale: f64) -> Vec<SpeedupBar> {
+pub fn speedup_figure(suite: Suite, scale: f64) -> Result<Vec<SpeedupBar>, CompileError> {
     let base_compiler = Compiler::for_variant(Variant::Baseline);
     let all_compiler = Compiler::for_variant(Variant::All);
     sxe_workloads::all()
@@ -203,8 +216,8 @@ pub fn speedup_figure(suite: Suite, scale: f64) -> Vec<SpeedupBar> {
         .filter(|w| w.suite == suite)
         .map(|w| {
             let m = w.build(scaled(&w, scale));
-            let base = base_compiler.compile_profiled(&m, "main", &[]);
-            let all = all_compiler.compile_profiled(&m, "main", &[]);
+            let base = base_compiler.try_compile_profiled(&m, "main", &[])?;
+            let all = all_compiler.try_compile_profiled(&m, "main", &[])?;
             let (_, base_cycles, _) = run_counting(&base, Target::Ia64);
             let (_, all_cycles, _) = run_counting(&all, Target::Ia64);
             let sched = |c: &Compiled| -> u64 {
@@ -224,11 +237,11 @@ pub fn speedup_figure(suite: Suite, scale: f64) -> Vec<SpeedupBar> {
             };
             let base_sched = sched(&base).max(1);
             let all_sched = sched(&all).max(1);
-            SpeedupBar {
+            Ok(SpeedupBar {
                 name: w.name.to_string(),
                 improvement_pct: 100.0 * (base_cycles as f64 / all_cycles as f64 - 1.0),
                 scheduled_pct: 100.0 * (base_sched as f64 / all_sched as f64 - 1.0),
-            }
+            })
         })
         .collect()
 }
@@ -238,6 +251,8 @@ pub fn speedup_figure(suite: Suite, scale: f64) -> Vec<SpeedupBar> {
 pub struct CompileTimeRow {
     /// Workload name.
     pub name: String,
+    /// Mean wall-clock time of one compilation, in milliseconds.
+    pub compile_ms: f64,
     /// Percentage of compile time in the sign-extension optimizations.
     pub sxe_pct: f64,
     /// Percentage in UD/DU chain creation.
@@ -246,36 +261,70 @@ pub struct CompileTimeRow {
     pub others_pct: f64,
 }
 
+/// Names of the pass spans that make up step 3's sign-extension work.
+const STEP3_PASSES: [&str; 4] =
+    ["step3-insert", "step3-order", "step3-eliminate", "first-algorithm"];
+
+/// Total duration of the events `keep` selects.
+fn span_ns(events: &[Event], keep: impl Fn(&Event) -> bool) -> u64 {
+    events.iter().filter(|e| keep(e)).map(|e| e.dur_ns).sum()
+}
+
 /// Table 3: the JIT compile-time breakdown for the full algorithm, per
 /// workload, plus the average as the final row.
-#[must_use]
-pub fn compile_time_table(scale: f64, repeats: u32) -> Vec<CompileTimeRow> {
-    let compiler = Compiler::for_variant(Variant::All);
-    let mut rows: Vec<CompileTimeRow> = sxe_workloads::all()
-        .into_iter()
-        .map(|w| {
-            let m = w.build(scaled(&w, scale));
-            let mut times = sxe_jit::PhaseTimes::default();
-            for _ in 0..repeats.max(1) {
-                times.merge(compiler.compile(&m).times);
-            }
-            let total = times.total().as_secs_f64().max(1e-12);
-            CompileTimeRow {
-                name: w.name.to_string(),
-                sxe_pct: 100.0 * times.sxe_opt.as_secs_f64() / total,
-                chains_pct: 100.0 * times.chain_creation.as_secs_f64() / total,
-                others_pct: 100.0 * times.others().as_secs_f64() / total,
-            }
-        })
-        .collect();
+///
+/// Every number is aggregated from the telemetry spans of `repeats`
+/// compilations (default thread count, so spans never overlap):
+/// * **total** — the `compile` spans;
+/// * **UD/DU chain creation** — the `cache.udu` misses on the step-3
+///   analysis-cache lanes (`cache.step3:@…`);
+/// * **sign-ext opts** — the `step3-insert`, `step3-order`,
+///   `step3-eliminate` and `first-algorithm` pass spans, minus the
+///   chain creation they enclose;
+/// * **others** — the remainder.
+///
+/// # Errors
+/// The first [`CompileError`] a workload produces.
+pub fn compile_time_table(scale: f64, repeats: u32) -> Result<Vec<CompileTimeRow>, CompileError> {
+    let repeats = repeats.max(1);
+    let mut rows = Vec::new();
+    for w in sxe_workloads::all() {
+        let m = w.build(scaled(&w, scale));
+        let telemetry = Telemetry::enabled();
+        let compiler = Compiler::builder(Variant::All).telemetry(telemetry.clone()).build();
+        for _ in 0..repeats {
+            compiler.try_compile(&m)?;
+        }
+        let events = telemetry.events_snapshot();
+        let total = span_ns(&events, |e| e.name == "compile");
+        let chains = span_ns(&events, |e| {
+            e.name == "cache.udu"
+                && e.lane.starts_with("cache.step3:@")
+                && e.args.iter().any(|(k, v)| *k == "hit" && *v == ArgValue::Bool(false))
+        });
+        let step3 = span_ns(&events, |e| e.cat == "pass" && STEP3_PASSES.contains(&&*e.name));
+        let sxe = step3.saturating_sub(chains);
+        let others = total.saturating_sub(sxe + chains);
+        let pct = |ns: u64| 100.0 * ns as f64 / (sxe + chains + others).max(1) as f64;
+        rows.push(CompileTimeRow {
+            name: w.name.to_string(),
+            compile_ms: total as f64 / 1e6 / f64::from(repeats),
+            sxe_pct: pct(sxe),
+            chains_pct: pct(chains),
+            others_pct: pct(others),
+        });
+    }
     let n = rows.len() as f64;
-    rows.push(CompileTimeRow {
+    let mean = |f: fn(&CompileTimeRow) -> f64| rows.iter().map(f).sum::<f64>() / n;
+    let average = CompileTimeRow {
         name: "average".into(),
-        sxe_pct: rows.iter().map(|r| r.sxe_pct).sum::<f64>() / n,
-        chains_pct: rows.iter().map(|r| r.chains_pct).sum::<f64>() / n,
-        others_pct: rows.iter().map(|r| r.others_pct).sum::<f64>() / n,
-    });
-    rows
+        compile_ms: mean(|r| r.compile_ms),
+        sxe_pct: mean(|r| r.sxe_pct),
+        chains_pct: mean(|r| r.chains_pct),
+        others_pct: mean(|r| r.others_pct),
+    };
+    rows.push(average);
+    Ok(rows)
 }
 
 /// Render Figures 13/14 bars as text (both performance models).
@@ -310,16 +359,18 @@ pub struct ThroughputPoint {
 /// worker-pool size in `threads_list`.
 ///
 /// Every round compiles all 17 workload modules through
-/// [`Compiler::compile_batch`] (whole modules sharded across the pool)
+/// [`Compiler::try_compile_batch`] (whole modules sharded across the pool)
 /// and the best of `repeats` rounds is kept, so a stray scheduling
 /// hiccup does not poison a point. The first entry of `threads_list`
 /// is the speedup reference; pass `&[1, ...]` for speedup-vs-sequential.
 ///
-/// # Panics
-/// Panics if a workload module fails to compile — that would be a
-/// compiler bug.
-#[must_use]
-pub fn compile_throughput(scale: f64, threads_list: &[usize], repeats: u32) -> Vec<ThroughputPoint> {
+/// # Errors
+/// The first [`CompileError`] a workload module produces.
+pub fn compile_throughput(
+    scale: f64,
+    threads_list: &[usize],
+    repeats: u32,
+) -> Result<Vec<ThroughputPoint>, CompileError> {
     let modules: Vec<_> = sxe_workloads::all()
         .iter()
         .map(|w| w.build(scaled(w, scale)))
@@ -330,7 +381,7 @@ pub fn compile_throughput(scale: f64, threads_list: &[usize], repeats: u32) -> V
         let mut best = f64::INFINITY;
         for _ in 0..repeats.max(1) {
             let t0 = std::time::Instant::now();
-            std::hint::black_box(compiler.compile_batch(&modules));
+            std::hint::black_box(compiler.try_compile_batch(&modules)?);
             best = best.min(t0.elapsed().as_secs_f64());
         }
         let modules_per_sec = modules.len() as f64 / best.max(1e-12);
@@ -341,7 +392,7 @@ pub fn compile_throughput(scale: f64, threads_list: &[usize], repeats: u32) -> V
             speedup: modules_per_sec / reference.max(1e-12),
         });
     }
-    points
+    Ok(points)
 }
 
 /// Render a [`compile_throughput`] sweep as aligned text.
@@ -365,14 +416,14 @@ pub fn render_compile_times(rows: &[CompileTimeRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>14} {:>22} {:>22} {:>10}",
-        "", "sign-ext opts (all)", "UD/DU chain creation", "others"
+        "{:>14} {:>22} {:>22} {:>10} {:>11}",
+        "", "sign-ext opts (all)", "UD/DU chain creation", "others", "compile ms"
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{:>14} {:>21.2}% {:>21.2}% {:>9.2}%",
-            r.name, r.sxe_pct, r.chains_pct, r.others_pct
+            "{:>14} {:>21.2}% {:>21.2}% {:>9.2}% {:>11.3}",
+            r.name, r.sxe_pct, r.chains_pct, r.others_pct, r.compile_ms
         );
     }
     out
@@ -417,7 +468,7 @@ mod tests {
 
     #[test]
     fn speedups_are_positive_for_integer_kernels() {
-        let bars = speedup_figure(Suite::SpecJvm98, 0.05);
+        let bars = speedup_figure(Suite::SpecJvm98, 0.05).expect("workloads compile");
         assert_eq!(bars.len(), 7);
         let compress = bars.iter().find(|b| b.name == "compress").unwrap();
         assert!(compress.improvement_pct > 0.0);
@@ -425,19 +476,24 @@ mod tests {
         assert!(text.contains("compress"));
     }
 
+    /// Every Table 3 bucket is populated from the spans, and every row
+    /// partitions its compile time exactly.
     #[test]
     fn compile_time_rows_sum_to_100() {
-        let rows = compile_time_table(0.05, 1);
+        let rows = compile_time_table(0.05, 1).expect("workloads compile");
         assert_eq!(rows.len(), 18); // 17 workloads + average
         for r in &rows {
+            assert!(r.compile_ms > 0.0, "{}: compile spans recorded", r.name);
+            assert!(r.chains_pct > 0.0, "{}: chains were built", r.name);
+            assert!(r.sxe_pct > 0.0, "{}: elimination ran", r.name);
             let sum = r.sxe_pct + r.chains_pct + r.others_pct;
-            assert!((sum - 100.0).abs() < 0.5, "{}: {sum}", r.name);
+            assert!((sum - 100.0).abs() < 1e-9, "{}: {sum}", r.name);
         }
     }
 
     #[test]
     fn throughput_sweep_has_one_point_per_thread_count() {
-        let points = compile_throughput(0.02, &[1, 2], 1);
+        let points = compile_throughput(0.02, &[1, 2], 1).expect("workloads compile");
         assert_eq!(points.len(), 2);
         assert!((points[0].speedup - 1.0).abs() < 1e-9, "first point is the reference");
         assert!(points.iter().all(|p| p.modules_per_sec > 0.0));

@@ -54,7 +54,7 @@ pub use convert::{convert_function, convert_module, infer_kinds, GenStrategy, Re
 pub use eliminate::{strip_dummies, ElimConfig, ElimResult};
 pub use insertion::InsertionStats;
 pub use pass::{
-    fallback_order, run_step3, run_step3_module, run_step3_timed, step3_eliminate,
-    step3_eliminate_cached, step3_first, step3_insertion, step3_insertion_cached, step3_order,
-    step3_order_cached, ElimOutcome, InsertionOutcome, ModuleProfile, Step3Timing,
+    fallback_order, run_step3, step3_eliminate, step3_eliminate_cached, step3_first,
+    step3_insertion, step3_insertion_cached, step3_order, step3_order_cached, ElimOutcome,
+    InsertionOutcome, ModuleProfile,
 };

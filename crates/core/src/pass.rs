@@ -1,35 +1,14 @@
 //! Orchestration of Figure 5 step 3: insertion, order determination, and
 //! elimination, per configured [`Variant`].
 
-use std::time::{Duration, Instant};
-
 use sxe_analysis::{AnalysisCache, FlowRanges, Freq, UdDu};
-use sxe_ir::{Budget, Cfg, Function, Inst, InstId, Module};
+use sxe_ir::{Budget, Cfg, Function, Inst, InstId};
 
 use crate::config::{SxeConfig, SxeStats};
 use crate::eliminate::{remove_dummies, run_elimination_budgeted, ElimConfig};
 use crate::insertion::simple_insertion;
 use crate::order::{elimination_order, static_freq};
 use crate::pde::pde_insertion;
-
-/// Wall-clock breakdown of step 3, mirroring the paper's Table 3 split
-/// between "sign extension optimizations" and "UD/DU chain creation".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Step3Timing {
-    /// Time spent building the UD/DU chains.
-    pub chain_creation: Duration,
-    /// Time spent in the sign-extension optimization proper (insertion,
-    /// order determination, elimination, dummy removal).
-    pub sxe_opt: Duration,
-}
-
-impl Step3Timing {
-    /// Accumulate another function's timing.
-    pub fn merge(&mut self, o: Step3Timing) {
-        self.chain_creation += o.chain_creation;
-        self.sxe_opt += o.sxe_opt;
-    }
-}
 
 /// Run the sign-extension optimization (Fig 5 step 3) on one function
 /// that has already been converted to 64-bit form (step 1) and generally
@@ -39,44 +18,24 @@ impl Step3Timing {
 /// order determination (the paper's interpreter profile); it must match
 /// the function's current block count or it is ignored.
 pub fn run_step3(f: &mut Function, config: &SxeConfig, profile: Option<&[u64]>) -> SxeStats {
-    run_step3_timed(f, config, profile).0
-}
-
-/// Like [`run_step3`], additionally reporting the Table 3 timing split.
-pub fn run_step3_timed(
-    f: &mut Function,
-    config: &SxeConfig,
-    profile: Option<&[u64]>,
-) -> (SxeStats, Step3Timing) {
     let variant = config.variant;
-    let mut stats = SxeStats::default();
-    let mut timing = Step3Timing::default();
-
     if variant.first_algorithm() {
-        let t0 = Instant::now();
-        stats = step3_first(f, config);
-        timing.sxe_opt = t0.elapsed();
-        return (stats, timing);
+        return step3_first(f, config);
     }
+    let mut stats = SxeStats::default();
     if !variant.uses_udu() {
-        return (stats, timing); // baseline / gen-use: no step-3 optimization
+        return stats; // baseline / gen-use: no step-3 optimization
     }
 
-    let t0 = Instant::now();
     let ins = step3_insertion(f, config);
     stats.dummies = ins.dummies;
     stats.inserted = ins.inserted;
     let order = step3_order(f, config, profile);
-    timing.sxe_opt += t0.elapsed();
-
-    let t1 = Instant::now();
     let out = step3_eliminate(f, config, &order, &Budget::unlimited());
     stats.examined = out.examined;
     stats.eliminated = out.eliminated;
     stats.eliminated_via_array = out.via_array;
-    timing.chain_creation = out.chain_creation;
-    timing.sxe_opt += t1.elapsed().saturating_sub(out.chain_creation);
-    (stats, timing)
+    stats
 }
 
 /// Counters from the [`step3_insertion`] stage.
@@ -88,7 +47,7 @@ pub struct InsertionOutcome {
     pub inserted: usize,
 }
 
-/// Counters and timing from the [`step3_eliminate`] stage.
+/// Counters from the [`step3_eliminate`] stage.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElimOutcome {
     /// Extension sites examined.
@@ -97,8 +56,6 @@ pub struct ElimOutcome {
     pub eliminated: usize,
     /// Eliminations that needed the array theorems.
     pub via_array: usize,
-    /// Time spent building the UD/DU chains (Table 3's separate column).
-    pub chain_creation: Duration,
     /// The budget ran out before every extension was examined.
     pub exhausted: bool,
 }
@@ -205,11 +162,9 @@ pub fn step3_eliminate(
 ) -> ElimOutcome {
     // Chains are built once, after insertion, and maintained
     // incrementally through the eliminations.
-    let t_chain = Instant::now();
     let cfg = Cfg::compute(f);
     let udu = UdDu::compute(f, &cfg);
-    let chain_creation = t_chain.elapsed();
-    eliminate_with(f, config, order, budget, &cfg, udu, chain_creation)
+    eliminate_with(f, config, order, budget, &cfg, udu)
 }
 
 /// [`step3_eliminate`] drawing the CFG and UD/DU chains from a memoized
@@ -224,11 +179,9 @@ pub fn step3_eliminate_cached(
     budget: &Budget,
     cache: &mut AnalysisCache,
 ) -> ElimOutcome {
-    let t_chain = Instant::now();
     let cfg = cache.cfg(f);
     let udu = cache.take_udu(f);
-    let chain_creation = t_chain.elapsed();
-    let out = eliminate_with(f, config, order, budget, &cfg, udu, chain_creation);
+    let out = eliminate_with(f, config, order, budget, &cfg, udu);
     cache.invalidate(&f.name);
     out
 }
@@ -240,7 +193,6 @@ fn eliminate_with(
     budget: &Budget,
     cfg: &Cfg,
     mut udu: UdDu,
-    chain_creation: Duration,
 ) -> ElimOutcome {
     // Flow-sensitive interval analysis: intervals of low-32 values are
     // unaffected by inserting/removing extensions, so one computation
@@ -263,7 +215,6 @@ fn eliminate_with(
         examined: res.examined,
         eliminated: res.eliminated,
         via_array: res.via_array,
-        chain_creation,
         exhausted: res.exhausted,
     }
 }
@@ -279,20 +230,6 @@ pub fn step3_first(f: &mut Function, config: &SxeConfig) -> SxeStats {
 
 /// Per-function block-count profiles for a module.
 pub type ModuleProfile = Vec<Vec<u64>>;
-
-/// Run step 3 on every function of a module.
-pub fn run_step3_module(
-    m: &mut Module,
-    config: &SxeConfig,
-    profile: Option<&ModuleProfile>,
-) -> SxeStats {
-    let mut stats = SxeStats::default();
-    for (i, f) in m.functions.iter_mut().enumerate() {
-        let p = profile.and_then(|p| p.get(i)).map(Vec::as_slice);
-        stats.merge(run_step3(f, config, p));
-    }
-    stats
-}
 
 #[cfg(test)]
 mod tests {
@@ -402,7 +339,7 @@ b2:
         let mut staged = converted();
         let mut mono = converted();
         let config = SxeConfig::for_variant(Variant::All);
-        let (mono_stats, _) = run_step3_timed(&mut mono, &config, None);
+        let mono_stats = run_step3(&mut mono, &config, None);
 
         step3_insertion(&mut staged, &config);
         let order = step3_order(&staged, &config, None);

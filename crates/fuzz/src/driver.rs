@@ -8,7 +8,7 @@
 //! under test run inside `catch_unwind` containment. The two results are
 //! then diffed by [`sxe_vm::differential_check`]. Any panic, refusal, or
 //! behavioral divergence becomes a [`Failure`], deduplicated by
-//! [`Triage`] and (optionally) handed to the [`reduce`](crate::reduce)
+//! [`Triage`] and (optionally) handed to the [`reduce`](mod@crate::reduce)
 //! minimizer with a "same signature still?" predicate.
 //!
 //! Modules are sharded over [`sxe_jit::shard::par_map`], which returns

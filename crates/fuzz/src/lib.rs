@@ -15,7 +15,7 @@
 //!   thread count;
 //! * [`triage`] — stable failure signatures and first-hit deduplication,
 //!   so a campaign against one bug reports one finding;
-//! * [`reduce`] — a delta-debugging minimizer that shrinks a finding
+//! * [`reduce`](mod@reduce) — a delta-debugging minimizer that shrinks a finding
 //!   while re-checking its signature at every accepted step.
 //!
 //! The `fuzz` binary (in `sxe-bench`) drives all four; `--plant` injects

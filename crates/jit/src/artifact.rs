@@ -18,6 +18,8 @@
 //! * **the pipeline configuration** — the step-3 [`SxeConfig`] and the
 //!   step-2 [`GeneralOpts`] ([`config_key`]), which are the only
 //!   compiler knobs that change the emitted text;
+//! * **the execution backend** — the [`Backend`] the artifact is
+//!   compiled for;
 //! * **the pipeline revision** — [`ARTIFACT_VERSION`], bumped whenever
 //!   a change to the optimizer can alter output for an unchanged input,
 //!   so a cache directory written by an older build misses instead of
@@ -38,8 +40,9 @@
 //! [`SxeConfig`]: sxe_core::SxeConfig
 //! [`GeneralOpts`]: sxe_opt::GeneralOpts
 //! [`CompileReport::clean`]: crate::CompileReport::clean
+//! [`Function::fingerprint`]: sxe_ir::Function::fingerprint
 
-use sxe_ir::{Function, Module};
+use sxe_ir::Module;
 
 use crate::Compiler;
 
@@ -103,16 +106,11 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// Fingerprint of the output-affecting compiler configuration: the
 /// step-3 [`sxe_core::SxeConfig`] and step-2 [`sxe_opt::GeneralOpts`],
-/// plus [`ARTIFACT_VERSION`]. Budget, fault-plan, thread-count, and
-/// telemetry knobs are excluded (see the [module docs](self)).
+/// plus [`ARTIFACT_VERSION`] and the [`Backend`]. Budget, fault-plan,
+/// thread-count, and telemetry knobs are excluded (see the
+/// [module docs](self)).
 #[must_use]
-pub fn config_key(compiler: &Compiler) -> u64 {
-    config_key_for(compiler, Backend::Vm)
-}
-
-/// [`config_key`] for an explicit [`Backend`].
-#[must_use]
-pub fn config_key_for(compiler: &Compiler, backend: Backend) -> u64 {
+pub fn config_key(compiler: &Compiler, backend: Backend) -> u64 {
     // Debug formatting enumerates every field of both config structs, so
     // a new output-affecting option cannot silently escape the key.
     let desc = format!(
@@ -122,7 +120,8 @@ pub fn config_key_for(compiler: &Compiler, backend: Backend) -> u64 {
     fnv1a(FNV_OFFSET, desc.as_bytes())
 }
 
-/// Fingerprint of a module's functions: each [`Function::fingerprint`]
+/// Fingerprint of a module's functions: each
+/// [`Function::fingerprint`](sxe_ir::Function::fingerprint)
 /// folded in module order (order matters — it is the merge order of the
 /// sharded pipeline and the emission order of the compiled text).
 #[must_use]
@@ -135,27 +134,12 @@ pub fn module_key(module: &Module) -> u64 {
 }
 
 /// The cross-process cache key for compiling `module` with `compiler`
-/// for the default [`Backend::Vm`]: [`config_key`] and [`module_key`]
-/// combined.
+/// for `backend`: [`config_key`] and [`module_key`] combined.
 #[must_use]
-pub fn artifact_key(compiler: &Compiler, module: &Module) -> u64 {
-    artifact_key_for(compiler, Backend::Vm, module)
-}
-
-/// [`artifact_key`] for an explicit [`Backend`].
-#[must_use]
-pub fn artifact_key_for(compiler: &Compiler, backend: Backend, module: &Module) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &config_key_for(compiler, backend).to_le_bytes());
+pub fn artifact_key(compiler: &Compiler, backend: Backend, module: &Module) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, &config_key(compiler, backend).to_le_bytes());
     h = fnv1a(h, &module_key(module).to_le_bytes());
     h
-}
-
-/// [`Function::fingerprint`] of one function — re-exported entry point so
-/// artifact-cache consumers name the same primitive the analysis cache
-/// validates against.
-#[must_use]
-pub fn function_key(f: &Function) -> u64 {
-    f.fingerprint()
 }
 
 #[cfg(test)]
@@ -172,10 +156,10 @@ mod tests {
         let c = Compiler::for_variant(Variant::All);
         let a = parse_module(A).unwrap();
         let b = parse_module(B).unwrap();
-        assert_eq!(artifact_key(&c, &a), artifact_key(&c, &a));
+        assert_eq!(artifact_key(&c, Backend::Vm, &a), artifact_key(&c, Backend::Vm, &a));
         assert_ne!(
-            artifact_key(&c, &a),
-            artifact_key(&c, &b),
+            artifact_key(&c, Backend::Vm, &a),
+            artifact_key(&c, Backend::Vm, &b),
             "same name, different body must miss"
         );
     }
@@ -185,15 +169,16 @@ mod tests {
         let a = parse_module(A).unwrap();
         let all = Compiler::for_variant(Variant::All);
         let base = Compiler::for_variant(Variant::Baseline);
-        let ppc = Compiler::for_variant(Variant::All).with_target(Target::Ppc64);
-        assert_ne!(artifact_key(&all, &a), artifact_key(&base, &a));
-        assert_ne!(artifact_key(&all, &a), artifact_key(&ppc, &a));
+        let ppc = Compiler::builder(Variant::All).target(Target::Ppc64).build();
+        let key = |c: &Compiler| artifact_key(c, Backend::Vm, &a);
+        assert_ne!(key(&all), key(&base));
+        assert_ne!(key(&all), key(&ppc));
         // Every target pair keys distinctly: a mips64 artifact (built
         // under canonical-form folding) must never answer another
         // target's request, and vice versa.
         let keys: Vec<u64> = Target::ALL
             .iter()
-            .map(|&t| artifact_key(&Compiler::for_variant(Variant::All).with_target(t), &a))
+            .map(|&t| key(&Compiler::builder(Variant::All).target(t).build()))
             .collect();
         for i in 0..keys.len() {
             for j in i + 1..keys.len() {
@@ -206,13 +191,14 @@ mod tests {
     fn key_ignores_output_neutral_knobs() {
         let a = parse_module(A).unwrap();
         let plain = Compiler::for_variant(Variant::All);
-        let tuned = Compiler::for_variant(Variant::All)
-            .with_threads(8)
-            .with_cache(false)
-            .with_budget(Some(10), None);
+        let tuned = Compiler::builder(Variant::All)
+            .threads(8)
+            .cache(false)
+            .budget(Some(10), None)
+            .build();
         assert_eq!(
-            artifact_key(&plain, &a),
-            artifact_key(&tuned, &a),
+            artifact_key(&plain, Backend::Vm, &a),
+            artifact_key(&tuned, Backend::Vm, &a),
             "threads/cache/budget are not part of the artifact identity"
         );
     }
@@ -222,13 +208,25 @@ mod tests {
         let c = Compiler::for_variant(Variant::All);
         let a = parse_module(A).unwrap();
         assert_ne!(
-            artifact_key_for(&c, Backend::Vm, &a),
-            artifact_key_for(&c, Backend::Native, &a),
+            artifact_key(&c, Backend::Vm, &a),
+            artifact_key(&c, Backend::Native, &a),
             "a VM-era artifact must never answer a native-era request"
         );
-        // The legacy entry points are the VM backend.
-        assert_eq!(artifact_key(&c, &a), artifact_key_for(&c, Backend::Vm, &a));
-        assert_eq!(config_key(&c), config_key_for(&c, Backend::Vm));
+    }
+
+    /// Keys already written to on-disk caches under `ARTIFACT_VERSION`
+    /// 2 must keep hitting: these values are pinned, not recomputed.
+    #[test]
+    fn key_values_are_stable() {
+        assert_eq!(ARTIFACT_VERSION, 2);
+        let a = parse_module(A).unwrap();
+        assert_eq!(module_key(&a), 0xb6be_f7fe_bb23_d1ae);
+        let all = Compiler::for_variant(Variant::All);
+        assert_eq!(config_key(&all, Backend::Vm), 0xe29b_96b6_0ced_9d3f);
+        assert_eq!(artifact_key(&all, Backend::Vm, &a), 0x5b24_ac9a_5941_d56d);
+        assert_eq!(artifact_key(&all, Backend::Native, &a), 0x5d3f_280e_f3fc_6470);
+        let base = Compiler::for_variant(Variant::Baseline);
+        assert_eq!(artifact_key(&base, Backend::Vm, &a), 0x2fbb_f7d2_5762_fb64);
     }
 
     #[test]
@@ -239,12 +237,5 @@ mod tests {
         assert_eq!(Backend::Vm.to_string(), "vm");
         assert_eq!(Backend::Native.to_string(), "native");
         assert_eq!(Backend::default(), Backend::Vm);
-    }
-
-    #[test]
-    fn function_key_matches_fingerprint() {
-        let a = parse_module(A).unwrap();
-        let (_, f) = a.iter().next().unwrap();
-        assert_eq!(function_key(f), f.fingerprint());
     }
 }

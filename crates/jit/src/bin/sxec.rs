@@ -404,7 +404,7 @@ fn main() -> ExitCode {
             Err(code) => return code,
         };
         let plan = FaultPlan::from_seed(seed, dry.report.boundaries() as u32);
-        compiler = compiler.with_fault_plan(plan);
+        compiler.fault_plan = Some(plan);
     }
     // Attach the sink only now, so a chaos dry run above is not traced
     // and the exported metrics cover exactly one compile.
@@ -423,10 +423,11 @@ fn main() -> ExitCode {
         // Oracle reference: the conversion-only (Baseline) compile — the
         // raw module is not meaningful on the 64-bit machine model until
         // step 1 has inserted its sign extensions.
-        let reference = Compiler::for_variant(Variant::Baseline)
-            .with_target(opts.target)
-            .compile(&module)
-            .module;
+        let baseline = Compiler::builder(Variant::Baseline).target(opts.target).build();
+        let reference = match try_compile(&baseline) {
+            Ok(c) => c.module,
+            Err(code) => return code,
+        };
         let defaults = OracleConfig::default();
         let oracle = OracleConfig::new()
             .runs(opts.oracle_runs.unwrap_or(defaults.runs))

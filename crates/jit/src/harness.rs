@@ -2,14 +2,14 @@
 //! rollback, compile budgets, and deterministic fault injection.
 //!
 //! Every phase of the pipeline runs inside a *boundary*
-//! ([`Harness::run_boundary`]):
+//! (`Harness::run_boundary`):
 //!
 //! 1. a snapshot of the target IR is taken;
 //! 2. the pass body runs under [`std::panic::catch_unwind`] — a panic is
 //!    caught, the IR restored from the snapshot, and the pass disabled
 //!    for the rest of the compilation;
 //! 3. the output is checked by the verification gate
-//!    ([`sxe_ir::verify_function`] / [`verify_module`]) — a gate failure
+//!    ([`sxe_ir::verify_function`] / [`sxe_ir::verify_module`]) — a gate failure
 //!    rolls back and disables exactly like a panic;
 //! 4. an exhausted [`Budget`] skips the body entirely, keeping the
 //!    current (already verified) IR: the pipeline salvages rather than

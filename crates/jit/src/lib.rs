@@ -5,11 +5,14 @@
 //!
 //! 1. conversion for a 64-bit architecture ([`sxe_core::convert`]);
 //! 2. general optimizations ([`sxe_opt`]);
-//! 3. elimination and movement of sign extensions ([`sxe_core::run_step3`]).
+//! 3. elimination and movement of sign extensions (the staged
+//!    [`sxe_core::step3_insertion`] / [`sxe_core::step3_order`] /
+//!    [`sxe_core::step3_eliminate`], each its own containment boundary).
 //!
-//! The compiler measures per-phase wall-clock time (the paper's Table 3
-//! breakdown) and supports the paper's combined interpreter + dynamic
-//! compiler mode: [`Compiler::compile_profiled`] interprets the
+//! Phase timing (the paper's Table 3 breakdown) comes from the
+//! [`Telemetry`] spans the pipeline records when a sink is attached.
+//! The compiler supports the paper's combined interpreter + dynamic
+//! compiler mode: [`Compiler::try_compile_profiled`] interprets the
 //! pre-step-3 code once to collect block frequencies, then feeds them to
 //! order determination.
 //!
@@ -17,7 +20,7 @@
 //!
 //! * **sharded compilation** — [`Compiler::threads`] splits the per-
 //!   function work of steps 2 and 3 (and whole modules in
-//!   [`Compiler::compile_batch`]) across a fixed-size worker pool, with a
+//!   [`Compiler::try_compile_batch`]) across a fixed-size worker pool, with a
 //!   merge in function order so the output is byte-identical to a
 //!   sequential run;
 //! * **memoized analyses** — [`Compiler::cache`] keeps each worker's
@@ -25,9 +28,9 @@
 //!   across pipeline stages, invalidated whenever a pass rewrites the
 //!   function.
 //!
-//! Construction goes through [`Compiler::builder`]; fallible entry points
-//! ([`Compiler::try_compile`]) return [`CompileError`] instead of
-//! panicking on bad input.
+//! Construction goes through [`Compiler::builder`]; every entry point
+//! ([`Compiler::try_compile`] and its profiled and batch forms) returns
+//! [`CompileError`] instead of panicking on bad input.
 //!
 //! ```
 //! use sxe_ir::parse_module;
@@ -53,7 +56,7 @@ pub mod report;
 pub mod shard;
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sxe_analysis::{AnalysisCache, CacheStats};
 use sxe_core::{GenStrategy, SxeConfig, SxeStats, Variant};
@@ -77,10 +80,10 @@ use shard::{par_map, par_map_mut};
 /// let compiler = Compiler::builder(Variant::All).build();
 /// ```
 pub mod prelude {
-    pub use crate::artifact::{artifact_key, artifact_key_for, config_key, config_key_for, module_key, Backend};
+    pub use crate::artifact::{artifact_key, config_key, module_key, Backend};
     pub use crate::{
         CompileError, CompileReport, Compiled, Compiler, CompilerBuilder, FaultPlan, PassRecord,
-        PassStatus, PhaseTimes, Telemetry,
+        PassStatus, Telemetry,
     };
     pub use sxe_core::{SxeConfig, SxeStats, Variant};
     pub use sxe_ir::Target;
@@ -193,51 +196,6 @@ impl Compiler {
         CompilerBuilder { compiler: Compiler::for_variant(variant) }
     }
 
-    /// Override the target architecture.
-    #[must_use]
-    pub fn with_target(mut self, target: Target) -> Compiler {
-        self.sxe.target = target;
-        self
-    }
-
-    /// Bound the work this compiler may spend per compilation.
-    #[must_use]
-    pub fn with_budget(mut self, fuel: Option<u64>, time_limit: Option<Duration>) -> Compiler {
-        self.fuel = fuel;
-        self.time_limit = time_limit;
-        self
-    }
-
-    /// Inject a deterministic fault (chaos testing).
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Compiler {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Set the worker-pool size for sharded compilation.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Compiler {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Enable or disable the per-worker analysis cache.
-    #[must_use]
-    pub fn with_cache(mut self, cache: bool) -> Compiler {
-        self.cache = cache;
-        self
-    }
-
-    /// Attach a telemetry sink. Every compilation through this compiler
-    /// (including batch members, which share the handle) records into
-    /// the sink's one session.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Compiler {
-        self.telemetry = telemetry;
-        self
-    }
-
     fn budget(&self) -> Budget {
         match (self.fuel, self.time_limit) {
             (None, None) => Budget::unlimited(),
@@ -286,39 +244,11 @@ impl Compiler {
     /// # Errors
     /// The first [`CompileError`] any module produces.
     pub fn try_compile_batch(&self, sources: &[Module]) -> Result<Vec<Compiled>, CompileError> {
-        let inner = self.clone().with_threads(1);
+        let mut inner = self.clone();
+        inner.threads = 1;
         par_map(sources, self.threads, |_, m| inner.try_compile(m))
             .into_iter()
             .collect()
-    }
-
-    /// Infallible [`try_compile`](Self::try_compile).
-    ///
-    /// # Panics
-    /// Panics on any [`CompileError`] — the input or an optimizer is
-    /// broken.
-    #[must_use]
-    pub fn compile(&self, source: &Module) -> Compiled {
-        self.try_compile(source).unwrap_or_else(|e| panic!("compile failed: {e}"))
-    }
-
-    /// Infallible [`try_compile_profiled`](Self::try_compile_profiled).
-    ///
-    /// # Panics
-    /// Panics on any [`CompileError`].
-    #[must_use]
-    pub fn compile_profiled(&self, source: &Module, entry: &str, args: &[i64]) -> Compiled {
-        self.try_compile_profiled(source, entry, args)
-            .unwrap_or_else(|e| panic!("compile failed: {e}"))
-    }
-
-    /// Infallible [`try_compile_batch`](Self::try_compile_batch).
-    ///
-    /// # Panics
-    /// Panics on any [`CompileError`].
-    #[must_use]
-    pub fn compile_batch(&self, sources: &[Module]) -> Vec<Compiled> {
-        self.try_compile_batch(sources).unwrap_or_else(|e| panic!("compile failed: {e}"))
     }
 
     fn compile_inner(
@@ -336,7 +266,6 @@ impl Compiler {
         }
 
         let mut module = source.clone();
-        let mut times = PhaseTimes::default();
         let mut report = CompileReport {
             seed: self.fault_plan.map(|p| p.seed),
             ..CompileReport::default()
@@ -366,7 +295,6 @@ impl Compiler {
             GenStrategy::AfterDef
         };
         let step1_span = driver.begin("step1-convert", "jit");
-        let t = Instant::now();
         let target = self.sxe.target;
         let generated = prologue.run_boundary(
             "convert",
@@ -379,14 +307,12 @@ impl Compiler {
         // A rolled-back conversion leaves the (verified) 32-bit module;
         // count its extensions so the stats stay meaningful.
         let generated = generated.unwrap_or_else(|| module.count_extends(None));
-        times.conversion = t.elapsed();
         driver.end_with(step1_span, vec![("generated", ArgValue::U64(generated as u64))]);
 
         // Step 2: general optimizations — inlining module-wide, then the
         // scalar fixpoint per function, each function sharded onto the
         // worker pool with its own harness and analysis cache.
         let step2_span = driver.begin("step2-general-opts", "jit");
-        let t = Instant::now();
         if let Some(inline_opts) = self.general.inline {
             let inlined = prologue.run_boundary(
                 "inline",
@@ -414,7 +340,6 @@ impl Compiler {
             cache_stats.merge(out.cache);
             events.extend(out.events);
         }
-        times.general_opts = t.elapsed();
         driver.end(step2_span);
 
         // Optional interpreter stage: profile the pre-step-3 code.
@@ -448,25 +373,18 @@ impl Compiler {
         let mut config = self.sxe.clone();
         config.use_profile = use_profile;
         let mut stats = SxeStats::default();
-        let t_section = Instant::now();
         let profile = profile.as_ref();
         let config = &config;
         let step3 = par_map_mut(&mut module.functions, self.threads, |i, f| {
             let p = profile.and_then(|p| p.get(i)).map(Vec::as_slice);
             step3_function(f, config, p, &shared, use_cache)
         });
-        let mut sxe_opt_time = Duration::ZERO;
         for out in step3 {
             report.absorb(out.report);
             stats.merge(out.stats);
             cache_stats.merge(out.cache);
             events.extend(out.events);
-            times.chain_creation += out.chain_creation;
-            sxe_opt_time += out.sxe_opt;
         }
-        times.sxe_opt = sxe_opt_time;
-        times.step3_overhead =
-            t_section.elapsed().saturating_sub(times.chain_creation + times.sxe_opt);
         driver.end(step3_span);
 
         if self.verify {
@@ -490,7 +408,7 @@ impl Compiler {
             tel.metrics(|m| record_compile_metrics(m, &stats, &opt_stats, &report, cache_stats));
         }
 
-        Ok(Compiled { module, stats, opt_stats, times, report })
+        Ok(Compiled { module, stats, opt_stats, report })
     }
 }
 
@@ -598,7 +516,9 @@ impl CompilerBuilder {
         self
     }
 
-    /// Attach a telemetry sink (see [`Compiler::with_telemetry`]).
+    /// Attach a telemetry sink. Every compilation through the built
+    /// compiler (including batch members, which share the handle)
+    /// records into the sink's one session.
     #[must_use]
     pub fn telemetry(mut self, telemetry: Telemetry) -> CompilerBuilder {
         self.compiler.telemetry = telemetry;
@@ -673,23 +593,15 @@ struct Step3Outcome {
     stats: SxeStats,
     cache: CacheStats,
     events: Vec<Event>,
-    chain_creation: Duration,
-    sxe_opt: Duration,
 }
 
 impl Step3Outcome {
     /// Package one function's results, draining the harness and cache.
-    fn collect(
-        harness: Harness<'_>,
-        cache: &mut AnalysisCache,
-        stats: SxeStats,
-        chain_creation: Duration,
-        sxe_opt: Duration,
-    ) -> Step3Outcome {
+    fn collect(harness: Harness<'_>, cache: &mut AnalysisCache, stats: SxeStats) -> Step3Outcome {
         let cache_stats = cache.stats();
         let (report, mut events) = harness.finish();
         events.extend(cache.detach_trace().into_events());
-        Step3Outcome { report, stats, cache: cache_stats, events, chain_creation, sxe_opt }
+        Step3Outcome { report, stats, cache: cache_stats, events }
     }
 }
 
@@ -707,11 +619,8 @@ fn step3_function(
         cache.attach_trace(Lane::new(shared.clock, &format!("cache.step3:@{fname}")));
     }
     let mut stats = SxeStats::default();
-    let mut chain_creation = Duration::ZERO;
-    let mut sxe_opt = Duration::ZERO;
 
     if config.variant.first_algorithm() {
-        let t = Instant::now();
         if let Some(s) = harness.run_boundary(
             "first-algorithm",
             Some(&fname),
@@ -722,15 +631,13 @@ fn step3_function(
         ) {
             stats.merge(s);
         }
-        sxe_opt += t.elapsed();
-        return Step3Outcome::collect(harness, &mut cache, stats, chain_creation, sxe_opt);
+        return Step3Outcome::collect(harness, &mut cache, stats);
     }
     if !config.variant.uses_udu() {
         // Baseline / gen-use: no step-3 optimization, no boundaries.
-        return Step3Outcome::collect(harness, &mut cache, stats, chain_creation, sxe_opt);
+        return Step3Outcome::collect(harness, &mut cache, stats);
     }
 
-    let t = Instant::now();
     if let Some(ins) = harness.run_boundary(
         "step3-insert",
         Some(&fname),
@@ -767,9 +674,7 @@ fn step3_function(
         // A rolled-back ordering still leaves every site eliminable —
         // just without the hottest-first payoff.
         .unwrap_or_else(|| sxe_core::fallback_order(f, config));
-    sxe_opt += t.elapsed();
 
-    let t = Instant::now();
     match harness.run_boundary(
         "step3-eliminate",
         Some(&fname),
@@ -788,8 +693,6 @@ fn step3_function(
             stats.examined += out.examined;
             stats.eliminated += out.eliminated;
             stats.eliminated_via_array += out.via_array;
-            chain_creation += out.chain_creation;
-            sxe_opt += t.elapsed().saturating_sub(out.chain_creation);
             if out.exhausted {
                 harness.report.budget_exhausted = true;
             }
@@ -798,59 +701,9 @@ fn step3_function(
             // Rolled back (or budget-stopped) after insertion: scrub the
             // leftover dummy markers before shipping.
             sxe_core::strip_dummies(f);
-            sxe_opt += t.elapsed();
         }
     }
-    Step3Outcome::collect(harness, &mut cache, stats, chain_creation, sxe_opt)
-}
-
-/// Per-phase compile-time breakdown (the quantities behind Table 3).
-///
-/// In a sharded compilation `conversion` and `general_opts` are
-/// wall-clock section times while `chain_creation` and `sxe_opt` are
-/// summed across workers (they can exceed the section's wall clock).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTimes {
-    /// Step 1: 64-bit conversion.
-    pub conversion: Duration,
-    /// Step 2: general optimizations.
-    pub general_opts: Duration,
-    /// UD/DU chain creation inside step 3 (reported separately in Table 3
-    /// because the chains serve other optimizations too).
-    pub chain_creation: Duration,
-    /// The sign-extension optimizations proper (insertion, ordering,
-    /// elimination).
-    pub sxe_opt: Duration,
-    /// Step-3 bookkeeping not attributed to either bucket.
-    pub step3_overhead: Duration,
-}
-
-impl PhaseTimes {
-    /// Total compilation time.
-    #[must_use]
-    pub fn total(&self) -> Duration {
-        self.conversion
-            + self.general_opts
-            + self.chain_creation
-            + self.sxe_opt
-            + self.step3_overhead
-    }
-
-    /// Everything that is neither the sign-extension optimizations nor
-    /// chain creation ("Others" in Table 3).
-    #[must_use]
-    pub fn others(&self) -> Duration {
-        self.conversion + self.general_opts + self.step3_overhead
-    }
-
-    /// Accumulate another compilation's times.
-    pub fn merge(&mut self, o: PhaseTimes) {
-        self.conversion += o.conversion;
-        self.general_opts += o.general_opts;
-        self.chain_creation += o.chain_creation;
-        self.sxe_opt += o.sxe_opt;
-        self.step3_overhead += o.step3_overhead;
-    }
+    Step3Outcome::collect(harness, &mut cache, stats)
 }
 
 /// Result of a compilation.
@@ -862,8 +715,6 @@ pub struct Compiled {
     pub stats: SxeStats,
     /// Rewrite counts from the step-2 general optimizations.
     pub opt_stats: OptStats,
-    /// Phase timing.
-    pub times: PhaseTimes,
     /// Per-boundary account of the compilation, including any contained
     /// incidents.
     pub report: CompileReport,
@@ -933,11 +784,12 @@ b2:
     #[test]
     fn pipeline_end_to_end() {
         let src = parse_module(LOOPY).unwrap();
-        let base = Compiler::for_variant(Variant::Baseline).compile(&src);
-        let all = Compiler::for_variant(Variant::All).compile(&src);
+        let base = Compiler::for_variant(Variant::Baseline).try_compile(&src).expect("compiles");
+        let all = Compiler::for_variant(Variant::All).try_compile(&src).expect("compiles");
         assert!(base.module.count_extends(None) > all.module.count_extends(None));
         assert!(all.stats.eliminated > 0);
-        assert!(all.times.total() > Duration::ZERO);
+        let timed: Duration = all.report.records.iter().map(|r| r.duration).sum();
+        assert!(timed > Duration::ZERO);
     }
 
     #[test]
@@ -945,7 +797,7 @@ b2:
         let src = parse_module(LOOPY).unwrap();
         let mut reference: Option<(Option<i64>, u64)> = None;
         for v in Variant::ALL {
-            let c = Compiler::for_variant(v).compile(&src);
+            let c = Compiler::for_variant(v).try_compile(&src).expect("compiles");
             let mut vm = Vm::new(&c.module, Target::Ia64);
             let out = vm.run("main", &[40]).expect("no trap");
             let key = (out.ret, out.heap_checksum);
@@ -960,7 +812,7 @@ b2:
     fn dynamic_counts_ordered() {
         let src = parse_module(LOOPY).unwrap();
         let count = |v: Variant| {
-            let c = Compiler::for_variant(v).compile(&src);
+            let c = Compiler::for_variant(v).try_compile(&src).expect("compiles");
             let mut vm = Vm::new(&c.module, Target::Ia64);
             vm.run("main", &[200]).expect("no trap");
             vm.counters().extend_count(None)
@@ -978,7 +830,9 @@ b2:
     #[test]
     fn profiled_compile_works() {
         let src = parse_module(LOOPY).unwrap();
-        let c = Compiler::for_variant(Variant::All).compile_profiled(&src, "main", &[40]);
+        let c = Compiler::for_variant(Variant::All)
+            .try_compile_profiled(&src, "main", &[40])
+            .expect("compiles");
         let mut vm = Vm::new(&c.module, Target::Ia64);
         let out = vm.run("main", &[40]).expect("no trap");
         assert!(out.ret.is_some());
@@ -998,11 +852,11 @@ b2:
                 .filter(|i| matches!(i, sxe_ir::Inst::Un { op: sxe_ir::UnOp::Zext(_), .. }))
                 .count()
         };
-        let plain = Compiler::for_variant(Variant::All).compile(&src);
+        let plain = Compiler::for_variant(Variant::All).try_compile(&src).expect("compiles");
         assert_eq!(count_zext(&plain.module), 1);
         let mut with = Compiler::for_variant(Variant::All);
         with.sxe.eliminate_zext = true;
-        let optimized = with.compile(&src);
+        let optimized = with.try_compile(&src).expect("compiles");
         assert_eq!(count_zext(&optimized.module), 0);
         // Behaviour preserved.
         let run = |m: &sxe_ir::Module| {
@@ -1017,10 +871,10 @@ b2:
         let src = parse_module(LOOPY).unwrap();
         let mut c = Compiler::for_variant(Variant::All);
         c.general = sxe_opt::GeneralOpts::none();
-        let compiled = c.compile(&src);
+        let compiled = c.try_compile(&src).expect("compiles");
         let mut vm = Vm::new(&compiled.module, Target::Ia64);
         let out = vm.run("main", &[40]).expect("no trap");
-        let reference = Compiler::for_variant(Variant::All).compile(&src);
+        let reference = Compiler::for_variant(Variant::All).try_compile(&src).expect("compiles");
         let mut vm2 = Vm::new(&reference.module, Target::Ia64);
         assert_eq!(out.ret, vm2.run("main", &[40]).expect("no trap").ret);
     }
@@ -1028,7 +882,7 @@ b2:
     #[test]
     fn clean_compile_reports_clean() {
         let src = parse_module(LOOPY).unwrap();
-        let c = Compiler::for_variant(Variant::All).compile(&src);
+        let c = Compiler::for_variant(Variant::All).try_compile(&src).expect("compiles");
         assert!(c.report.clean(), "{}", c.report.summary());
         assert!(c.report.boundaries() > 0);
         assert!(c.report.records.iter().all(|r| r.status == PassStatus::Ok));
@@ -1038,13 +892,17 @@ b2:
     #[test]
     fn fault_injection_is_contained_and_reported() {
         let src = parse_module(LOOPY).unwrap();
-        let reference = Compiler::for_variant(Variant::All).compile(&src);
+        let reference = Compiler::for_variant(Variant::All).try_compile(&src).expect("compiles");
         let boundaries = reference.report.boundaries() as u32;
         let mut vm = Vm::new(&reference.module, Target::Ia64);
         let want = vm.run("main", &[40]).expect("no trap");
         for seed in 0..48 {
             let plan = FaultPlan::from_seed(seed, boundaries);
-            let c = Compiler::for_variant(Variant::All).with_fault_plan(plan).compile(&src);
+            let c = Compiler::builder(Variant::All)
+                .fault_plan(plan)
+                .build()
+                .try_compile(&src)
+                .expect("compiles");
             assert!(
                 c.report.incidents() >= 1,
                 "seed {seed}: the injected fault must appear in the report"
@@ -1062,11 +920,15 @@ b2:
     #[test]
     fn tiny_budget_salvages_a_working_module() {
         let src = parse_module(LOOPY).unwrap();
-        let c = Compiler::for_variant(Variant::All).with_budget(Some(3), None).compile(&src);
+        let c = Compiler::builder(Variant::All)
+            .budget(Some(3), None)
+            .build()
+            .try_compile(&src)
+            .expect("compiles");
         assert!(c.report.budget_exhausted);
         let mut vm = Vm::new(&c.module, Target::Ia64);
         let got = vm.run("main", &[40]).expect("no trap");
-        let reference = Compiler::for_variant(Variant::All).compile(&src);
+        let reference = Compiler::for_variant(Variant::All).try_compile(&src).expect("compiles");
         let mut vm2 = Vm::new(&reference.module, Target::Ia64);
         let want = vm2.run("main", &[40]).expect("no trap");
         assert_eq!((got.ret, got.heap_checksum), (want.ret, want.heap_checksum));
@@ -1077,10 +939,12 @@ b2:
         // PPC64's lwa sign-extends loads, so the baseline itself has
         // fewer extensions.
         let src = parse_module(LOOPY).unwrap();
-        let ia = Compiler::for_variant(Variant::Baseline).compile(&src);
-        let ppc = Compiler::for_variant(Variant::Baseline)
-            .with_target(Target::Ppc64)
-            .compile(&src);
+        let ia = Compiler::for_variant(Variant::Baseline).try_compile(&src).expect("compiles");
+        let ppc = Compiler::builder(Variant::Baseline)
+            .target(Target::Ppc64)
+            .build()
+            .try_compile(&src)
+            .expect("compiles");
         assert!(ppc.module.count_extends(None) < ia.module.count_extends(None));
     }
 
@@ -1108,8 +972,9 @@ b2:
     #[test]
     fn empty_budget_is_refused_up_front() {
         let src = parse_module(LOOPY).unwrap();
-        let err = Compiler::for_variant(Variant::All)
-            .with_budget(Some(0), None)
+        let err = Compiler::builder(Variant::All)
+            .budget(Some(0), None)
+            .build()
             .try_compile(&src)
             .unwrap_err();
         assert_eq!(err, CompileError::BudgetExhaustedBeforeStart);
@@ -1157,9 +1022,13 @@ b2:
     fn sharded_output_is_byte_identical() {
         let src = parse_module(MULTI).unwrap();
         for v in [Variant::All, Variant::Array, Variant::FirstAlgorithm, Variant::Baseline] {
-            let seq = Compiler::for_variant(v).compile(&src);
+            let seq = Compiler::for_variant(v).try_compile(&src).expect("compiles");
             for threads in [2, 4, 8] {
-                let par = Compiler::for_variant(v).with_threads(threads).compile(&src);
+                let par = Compiler::builder(v)
+                    .threads(threads)
+                    .build()
+                    .try_compile(&src)
+                    .expect("compiles");
                 assert_eq!(
                     fingerprint(&seq),
                     fingerprint(&par),
@@ -1173,8 +1042,12 @@ b2:
     fn cache_does_not_change_output() {
         let src = parse_module(MULTI).unwrap();
         for v in [Variant::All, Variant::Array] {
-            let on = Compiler::for_variant(v).compile(&src);
-            let off = Compiler::for_variant(v).with_cache(false).compile(&src);
+            let on = Compiler::for_variant(v).try_compile(&src).expect("compiles");
+            let off = Compiler::builder(v)
+                .cache(false)
+                .build()
+                .try_compile(&src)
+                .expect("compiles");
             assert_eq!(fingerprint(&on), fingerprint(&off), "{v}: cache changed the output");
         }
     }
@@ -1184,8 +1057,14 @@ b2:
         let a = parse_module(LOOPY).unwrap();
         let b = parse_module(MULTI).unwrap();
         let sources = vec![a.clone(), b.clone(), a, b];
-        let seq = Compiler::for_variant(Variant::All).compile_batch(&sources);
-        let par = Compiler::for_variant(Variant::All).with_threads(4).compile_batch(&sources);
+        let seq = Compiler::for_variant(Variant::All)
+            .try_compile_batch(&sources)
+            .expect("compiles");
+        let par = Compiler::builder(Variant::All)
+            .threads(4)
+            .build()
+            .try_compile_batch(&sources)
+            .expect("compiles");
         assert_eq!(seq.len(), 4);
         for (s, p) in seq.iter().zip(&par) {
             assert_eq!(fingerprint(s), fingerprint(p));

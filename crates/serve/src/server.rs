@@ -23,7 +23,7 @@
 //!   the cache index, then acks with the number of requests drained.
 //!
 //! Every compile resolves against the [`ArtifactStore`] keyed by
-//! [`artifact_key`](sxe_jit::artifact::artifact_key_for); only clean
+//! [`artifact_key`]; only clean
 //! compilations (no incidents, no budget
 //! exhaustion, no fault plan) are cached — see
 //! [`sxe_jit::artifact`] for the soundness argument.
@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sxe_ir::parse_module;
-use sxe_jit::artifact::artifact_key_for;
+use sxe_jit::artifact::artifact_key;
 use sxe_jit::{shard, Compiler};
 use sxe_telemetry::Telemetry;
 
@@ -515,9 +515,9 @@ fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// Compile (or replay) one request. Cache policy: look up by
-/// [`artifact_key_for`] (which folds in the requested backend); on a
-/// miss compile with the request's budget and
-/// only insert when the report is clean — a salvaged partial
+/// [`artifact_key`] (which folds in the requested backend but not the
+/// budget or thread count); on a miss compile with the request's budget
+/// and only insert when the report is clean — a salvaged partial
 /// optimization is served to its requester but never cached.
 fn compile_one(shared: &Arc<Shared>, req: &CompileRequest) -> Response {
     let module = match parse_module(&req.source) {
@@ -529,8 +529,21 @@ fn compile_one(shared: &Arc<Shared>, req: &CompileRequest) -> Response {
             panic!("injected compile panic: function {name:?}");
         }
     }
-    let compiler = Compiler::builder(req.variant).target(req.target).build();
-    let key = artifact_key_for(&compiler, req.backend, &module);
+    let fuel = req.fuel.or(shared.config.default_fuel);
+    let time_limit = match req.timeout_ms {
+        Some(0) => None,
+        Some(ms) => Some(Duration::from_millis(ms)),
+        None => shared.config.default_time_limit,
+    };
+    // threads(1): workers are already parallel across requests, and the
+    // sequential path guarantees the response bytes are independent of
+    // the pool size.
+    let compiler = Compiler::builder(req.variant)
+        .target(req.target)
+        .budget(fuel, time_limit)
+        .threads(1)
+        .build();
+    let key = artifact_key(&compiler, req.backend, &module);
     {
         let mut store = lock_ok(&shared.store);
         let cached = store.get(key);
@@ -553,16 +566,6 @@ fn compile_one(shared: &Arc<Shared>, req: &CompileRequest) -> Response {
         }
         shared.tel.metrics(|m| m.add("serve.cache.misses", 1));
     }
-    let fuel = req.fuel.or(shared.config.default_fuel);
-    let time_limit = match req.timeout_ms {
-        Some(0) => None,
-        Some(ms) => Some(Duration::from_millis(ms)),
-        None => shared.config.default_time_limit,
-    };
-    // threads(1): workers are already parallel across requests, and the
-    // sequential path guarantees the response bytes are independent of
-    // the pool size.
-    let compiler = compiler.with_budget(fuel, time_limit).with_threads(1);
     let compiled = match compiler.try_compile(&module) {
         Ok(c) => c,
         Err(e) => return Response::Error(format!("compile refused: {e}")),

@@ -59,7 +59,10 @@ pub use counters::{mnemonic, op_index, Counters, SharedCounters, MNEMONICS};
 pub use error::Trap;
 pub use heap::{ArrayObj, Heap, HEAP_LIMIT_ELEMS};
 pub use machine::{BlockHook, Machine, Outcome, DEFAULT_FUEL, MAX_CALL_DEPTH};
-pub use oracle::{differential_check, differential_replay, oracle_args, Mismatch, OracleConfig};
+pub use oracle::{
+    differential_check, differential_replay, observe, oracle_args, Mismatch, Observation,
+    OracleConfig,
+};
 pub use vm::{Engine, Vm, VmBuilder, VmError};
 
 /// The types a VM harness typically needs, in one import.

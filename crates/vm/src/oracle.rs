@@ -26,6 +26,7 @@
 use sxe_ir::rng::XorShift;
 use sxe_ir::{Module, Target, TrapKind, Ty};
 
+use crate::counters::Counters;
 use crate::vm::{Engine, Vm, VmError};
 
 /// Configuration for one oracle sweep.
@@ -144,6 +145,50 @@ impl std::fmt::Display for Mismatch {
             self.function, self.args, self.left, self.right, self.seed, self.run
         )
     }
+}
+
+/// Everything one run of a module exposes. Two engines are observably
+/// identical on a run when these compare equal.
+///
+/// The trap *location* is deliberately absent: engines may attribute a
+/// trap to different instructions (superinstruction fusion, native
+/// accounting segments), so traps are compared by [`TrapKind`] only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Observation {
+    /// `Ok((ret, heap_checksum))` or the trap kind (`None` for non-trap
+    /// errors like arity mismatches, which carry no kind).
+    pub result: Result<(Option<i64>, u64), Option<TrapKind>>,
+    /// Dynamic counters at the end of the run.
+    pub counters: Counters,
+    /// Fuel left in the tank.
+    pub fuel_remaining: u64,
+}
+
+impl Observation {
+    /// Whether the run ran out of fuel.
+    #[must_use]
+    pub fn exhausted(&self) -> bool {
+        self.result == Err(Some(TrapKind::ResourceExhausted))
+    }
+}
+
+/// Run `entry(args)` of `m` once on a fresh VM with the given engine and
+/// fuel tank, and record everything the run exposes.
+#[must_use]
+pub fn observe(
+    m: &Module,
+    target: Target,
+    engine: Engine,
+    fuel: u64,
+    entry: &str,
+    args: &[i64],
+) -> Observation {
+    let mut vm = Vm::builder(m).target(target).engine(engine).fuel(fuel).build();
+    let result = match vm.run(entry, args) {
+        Ok(out) => Ok((out.ret, out.heap_checksum)),
+        Err(e) => Err(e.trap_kind()),
+    };
+    Observation { result, counters: vm.counters().clone(), fuel_remaining: vm.fuel_remaining() }
 }
 
 enum RunResult {

@@ -24,7 +24,7 @@ fn main() {
     let mut baseline_dyn = 0u64;
     let mut baseline_cycles = 0u64;
     for variant in Variant::ALL {
-        let compiled = Compiler::for_variant(variant).compile(&module);
+        let compiled = Compiler::for_variant(variant).try_compile(&module).expect("compiles");
         let mut vm = Vm::new(&compiled.module, Target::Ia64);
         let out = vm.run("main", &[]).expect("no trap");
         let dynamic = vm.counters().extend_count(Some(Width::W32));

@@ -50,10 +50,10 @@ fn main() {
     let compiler = Compiler::for_variant(Variant::All);
 
     // Static compile: order determination sees two equally hot loops.
-    let plain = compiler.compile(&module);
+    let plain = compiler.try_compile(&module).expect("compiles");
     // Profiled compile: the interpreter observes the actual run (flag=0
     // takes the first loop only).
-    let profiled = compiler.compile_profiled(&module, "main", &[100_000, 0]);
+    let profiled = compiler.try_compile_profiled(&module, "main", &[100_000, 0]).expect("compiles");
 
     for (label, compiled) in [("static order", &plain), ("profile-guided", &profiled)] {
         let mut vm = Vm::new(&compiled.module, Target::Ia64);

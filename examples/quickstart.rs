@@ -64,7 +64,7 @@ fn main() {
     println!("=== source (32-bit form) ===\n{module}");
 
     for variant in [Variant::Baseline, Variant::FirstAlgorithm, Variant::All] {
-        let compiled = Compiler::for_variant(variant).compile(&module);
+        let compiled = Compiler::for_variant(variant).try_compile(&module).expect("compiles");
         let mut vm = Vm::new(&compiled.module, Target::Ia64);
         let out = vm.run("sum", &[1000]).expect("no trap");
         println!(

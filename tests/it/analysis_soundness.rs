@@ -73,7 +73,7 @@ fn flow_ranges_bound_all_executions() {
 fn available_facts_hold_at_runtime() {
     for (_, p) in gen::program_corpus(0xa5a5_0002, CASES) {
         let source = gen::lower(&p);
-        let compiled = Compiler::for_variant(Variant::All).compile(&source);
+        let compiled = Compiler::for_variant(Variant::All).try_compile(&source).expect("compiles");
         let main = compiled.module.function_by_name("main").expect("main");
         let f = compiled.module.function(main).clone();
         let cfg = Cfg::compute(&f);

@@ -32,7 +32,7 @@ fn zext_elimination_preserves_semantics() {
             compile_run(&m, Variant::Baseline, Target::Ia64, "main", &[], FUEL);
         let mut compiler = Compiler::for_variant(Variant::All);
         compiler.sxe.eliminate_zext = true;
-        let compiled = compiler.compile(&m);
+        let compiled = compiler.try_compile(&m).expect("compiles");
         let mut vm =
             Vm::builder(&compiled.module).target(Target::Ia64).fuel(FUEL).build();
         let key = match vm.run("main", &[]) {

@@ -26,16 +26,20 @@ fn injected_faults_are_contained_reported_and_harmless() {
         // The oracle reference is the conversion-only compile: the raw
         // module is not meaningful on the 64-bit machine model until
         // step 1 has inserted its sign extensions.
-        let reference = Compiler::for_variant(Variant::Baseline).compile(&m).module;
-        let dry = Compiler::for_variant(Variant::All).compile(&m);
+        let reference = Compiler::for_variant(Variant::Baseline)
+            .try_compile(&m)
+            .expect("compiles")
+            .module;
+        let dry = Compiler::for_variant(Variant::All).try_compile(&m).expect("compiles");
         let boundaries = dry.report.boundaries() as u32;
         for seed in 0..SEEDS {
             let plan = FaultPlan::from_seed(seed, boundaries);
-            let compiler = Compiler::for_variant(Variant::All).with_fault_plan(plan);
-            let compiled = panic::catch_unwind(AssertUnwindSafe(|| compiler.compile(&m)))
+            let compiler = Compiler::builder(Variant::All).fault_plan(plan).build();
+            let compiled = panic::catch_unwind(AssertUnwindSafe(|| compiler.try_compile(&m)))
                 .unwrap_or_else(|_| {
                     panic!("case {case} seed {seed}: compile aborted (plan {plan:?})")
-                });
+                })
+                .unwrap_or_else(|e| panic!("case {case} seed {seed}: compile refused: {e}"));
             assert!(
                 compiled.report.incidents() >= 1,
                 "case {case} seed {seed}: no incident recorded (plan {plan:?})"
@@ -60,13 +64,17 @@ fn injected_faults_are_contained_reported_and_harmless() {
 #[test]
 fn each_fault_kind_is_visible_in_the_report() {
     let m = gen::lower(&gen::program_corpus(0xfa17_0002, 1).next().expect("one case").1);
-    let dry = Compiler::for_variant(Variant::All).compile(&m);
+    let dry = Compiler::for_variant(Variant::All).try_compile(&m).expect("compiles");
     let boundaries = dry.report.boundaries() as u32;
     let mut kinds_seen = [false; 3];
     for seed in 0..64 {
         let plan = FaultPlan::from_seed(seed, boundaries);
         let compiled =
-            Compiler::for_variant(Variant::All).with_fault_plan(plan).compile(&m);
+            Compiler::builder(Variant::All)
+                .fault_plan(plan)
+                .build()
+                .try_compile(&m)
+                .expect("compiles");
         let injected: Vec<_> =
             compiled.report.records.iter().filter(|r| r.injected.is_some()).collect();
         assert_eq!(injected.len(), 1, "seed {seed}: exactly one injection fires");
@@ -117,10 +125,14 @@ fn each_fault_kind_is_visible_in_the_report() {
 fn no_fault_no_change() {
     for (_, p) in gen::program_corpus(0xfa17_0003, 4) {
         let m = gen::lower(&p);
-        let plain = Compiler::for_variant(Variant::All).compile(&m);
+        let plain = Compiler::for_variant(Variant::All).try_compile(&m).expect("compiles");
         assert!(plain.report.clean(), "report: {}", plain.report.summary());
         let with_budget =
-            Compiler::for_variant(Variant::All).with_budget(Some(1 << 32), None).compile(&m);
+            Compiler::builder(Variant::All)
+                .budget(Some(1 << 32), None)
+                .build()
+                .try_compile(&m)
+                .expect("compiles");
         assert_eq!(plain.stats.eliminated, with_budget.stats.eliminated);
         assert_eq!(plain.module.to_string(), with_budget.module.to_string());
     }
@@ -133,16 +145,22 @@ fn no_fault_no_change() {
 fn starved_budget_still_ships_correct_code() {
     for (case, p) in gen::program_corpus(0xfa17_0004, 4) {
         let m = gen::lower(&p);
-        let reference = Compiler::for_variant(Variant::Baseline).compile(&m).module;
-        let refused = Compiler::for_variant(Variant::All)
-            .with_budget(Some(0), None)
+        let reference = Compiler::for_variant(Variant::Baseline)
+            .try_compile(&m)
+            .expect("compiles")
+            .module;
+        let refused = Compiler::builder(Variant::All)
+            .budget(Some(0), None)
+            .build()
             .try_compile(&m)
             .unwrap_err();
         assert_eq!(refused, CompileError::BudgetExhaustedBeforeStart, "case {case}");
         for fuel in [1u64, 2, 5, 13] {
-            let compiled = Compiler::for_variant(Variant::All)
-                .with_budget(Some(fuel), None)
-                .compile(&m);
+            let compiled = Compiler::builder(Variant::All)
+                .budget(Some(fuel), None)
+                .build()
+                .try_compile(&m)
+                .expect("compiles");
             differential_check(
                 &reference,
                 &compiled.module,

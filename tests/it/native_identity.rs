@@ -20,43 +20,12 @@
 use sxe_core::Variant;
 use sxe_fuzz::{generate_module, GenConfig};
 use sxe_ir::rng::XorShift;
-use sxe_ir::{BinOp, FunctionBuilder, Module, Target, TrapKind, Ty};
+use sxe_ir::{BinOp, FunctionBuilder, Module, Target, Ty};
 use sxe_jit::Compiler;
-use sxe_vm::{Counters, Engine, Vm, VmError};
+use sxe_vm::{observe, Engine, Vm, VmError};
 
 /// Enough fuel that no scaled-down workload exhausts it.
 const WORKLOAD_FUEL: u64 = 200_000_000;
-
-/// Everything an engine run exposes; two engines are "identical" when
-/// these compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observation {
-    result: Result<(Option<i64>, u64), Option<TrapKind>>,
-    counters: Counters,
-    fuel_remaining: u64,
-}
-
-impl Observation {
-    fn exhausted(&self) -> bool {
-        self.result == Err(Some(TrapKind::ResourceExhausted))
-    }
-}
-
-fn observe(
-    m: &Module,
-    target: Target,
-    engine: Engine,
-    fuel: u64,
-    name: &str,
-    args: &[i64],
-) -> Observation {
-    let mut vm = Vm::builder(m).target(target).engine(engine).fuel(fuel).build();
-    let result = match vm.run(name, args) {
-        Ok(out) => Ok((out.ret, out.heap_checksum)),
-        Err(e) => Err(e.trap_kind()),
-    };
-    Observation { result, counters: vm.counters().clone(), fuel_remaining: vm.fuel_remaining() }
-}
 
 /// Assert native and decoded agree on every observable for one entry
 /// point, and that the module really was natively compiled (a silent
@@ -98,7 +67,7 @@ fn workloads_run_identically_native_vs_decoded() {
     for w in sxe_workloads::all() {
         let m = w.build(scaled(w.default_size));
         for variant in [Variant::Baseline, Variant::All] {
-            let compiled = Compiler::for_variant(variant).compile(&m).module;
+            let compiled = Compiler::for_variant(variant).try_compile(&m).expect("compiles").module;
             for target in Target::ALL {
                 let label = format!("{}/{variant:?}", w.name);
                 assert_native_identical(&compiled, target, WORKLOAD_FUEL, &[], &label);
@@ -112,7 +81,10 @@ fn workloads_run_identically_native_vs_decoded() {
 #[test]
 fn block_profiles_agree_native_vs_decoded() {
     let w = &sxe_workloads::all()[0];
-    let m = Compiler::for_variant(Variant::All).compile(&w.build(scaled(w.default_size))).module;
+    let m = Compiler::for_variant(Variant::All)
+        .try_compile(&w.build(scaled(w.default_size)))
+        .expect("compiles")
+        .module;
     let mut profiles = Vec::new();
     for engine in [Engine::Decoded, Engine::Native] {
         let mut vm = Vm::builder(&m)
@@ -176,7 +148,10 @@ fn unsupported_functions_fall_back_to_decoded() {
 #[test]
 fn fuel_exhaustion_agrees_on_kind_and_fuel() {
     let w = &sxe_workloads::all()[0];
-    let m = Compiler::for_variant(Variant::All).compile(&w.build(scaled(w.default_size))).module;
+    let m = Compiler::for_variant(Variant::All)
+        .try_compile(&w.build(scaled(w.default_size)))
+        .expect("compiles")
+        .module;
     for fuel in [100, 1_001, 10_007] {
         let decoded = observe(&m, Target::Ia64, Engine::Decoded, fuel, "main", &[]);
         let native = observe(&m, Target::Ia64, Engine::Native, fuel, "main", &[]);
@@ -197,7 +172,7 @@ fn fuzzed_modules_run_identically_native_vs_decoded() {
     let mut compared = 0u32;
     for seed in 0..200u64 {
         let raw = generate_module(seed, &config);
-        let compiled = compiler.compile(&raw).module;
+        let compiled = compiler.try_compile(&raw).expect("compiles").module;
         for (m, what) in [(&raw, "raw"), (&compiled, "compiled")] {
             for f in &m.functions {
                 let mut rng = XorShift::new(seed ^ 0x5eed_f00d);

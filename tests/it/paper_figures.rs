@@ -150,7 +150,7 @@ fn figure6_gen_def_beats_gen_use() {
          b2:\n    ret r5\n}\n";
     let dynamic = |variant: Variant| {
         let m = sxe_ir::parse_module(src).unwrap();
-        let c = sxe_jit::Compiler::for_variant(variant).compile(&m);
+        let c = sxe_jit::Compiler::for_variant(variant).try_compile(&m).expect("compiles");
         let mut vm = sxe_vm::Vm::new(&c.module, Target::Ia64);
         vm.run("fig6", &[8, 7]).expect("no trap");
         vm.counters().extend_count(Some(Width::W32))

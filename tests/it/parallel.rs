@@ -33,14 +33,14 @@ fn fingerprint(c: &Compiled) -> Fingerprint {
 #[test]
 fn sharded_compile_matches_sequential_on_every_workload() {
     let sequential = Compiler::for_variant(Variant::All);
-    let sharded = Compiler::for_variant(Variant::All).with_threads(4);
+    let sharded = Compiler::builder(Variant::All).threads(4).build();
     let workloads = sxe_workloads::all();
     assert_eq!(workloads.len(), 17, "the full benchmark suite");
     for w in workloads {
         let size = ((w.default_size as f64 * 0.05) as u32).max(4);
         let m = w.build(size);
-        let seq = fingerprint(&sequential.compile(&m));
-        let par = fingerprint(&sharded.compile(&m));
+        let seq = fingerprint(&sequential.try_compile(&m).expect("compiles"));
+        let par = fingerprint(&sharded.try_compile(&m).expect("compiles"));
         assert_eq!(seq, par, "{}: threads=4 output diverged from sequential", w.name);
     }
 }
@@ -51,12 +51,12 @@ fn sharded_compile_matches_sequential_on_every_workload() {
 #[test]
 fn sharded_profiled_compile_matches_sequential() {
     let sequential = Compiler::for_variant(Variant::All);
-    let sharded = Compiler::for_variant(Variant::All).with_threads(4);
+    let sharded = Compiler::builder(Variant::All).threads(4).build();
     for w in sxe_workloads::all().iter().take(5) {
         let size = ((w.default_size as f64 * 0.05) as u32).max(4);
         let m = w.build(size);
-        let seq = fingerprint(&sequential.compile_profiled(&m, "main", &[]));
-        let par = fingerprint(&sharded.compile_profiled(&m, "main", &[]));
+        let seq = fingerprint(&sequential.try_compile_profiled(&m, "main", &[]).expect("compiles"));
+        let par = fingerprint(&sharded.try_compile_profiled(&m, "main", &[]).expect("compiles"));
         assert_eq!(seq, par, "{}: profiled sharded compile diverged", w.name);
     }
 }
@@ -69,14 +69,18 @@ fn cache_setting_never_changes_output() {
         for w in sxe_workloads::all().iter().take(5) {
             let size = ((w.default_size as f64 * 0.05) as u32).max(4);
             let m = w.build(size);
-            let cached = Compiler::for_variant(Variant::All)
-                .with_threads(threads)
-                .with_cache(true)
-                .compile(&m);
-            let uncached = Compiler::for_variant(Variant::All)
-                .with_threads(threads)
-                .with_cache(false)
-                .compile(&m);
+            let cached = Compiler::builder(Variant::All)
+                .threads(threads)
+                .cache(true)
+                .build()
+                .try_compile(&m)
+                .expect("compiles");
+            let uncached = Compiler::builder(Variant::All)
+                .threads(threads)
+                .cache(false)
+                .build()
+                .try_compile(&m)
+                .expect("compiles");
             assert_eq!(
                 fingerprint(&cached),
                 fingerprint(&uncached),
@@ -94,8 +98,14 @@ fn batch_results_arrive_in_input_order() {
         .iter()
         .map(|w| w.build(((w.default_size as f64 * 0.05) as u32).max(4)))
         .collect();
-    let sequential = Compiler::for_variant(Variant::All).compile_batch(&modules);
-    let sharded = Compiler::for_variant(Variant::All).with_threads(4).compile_batch(&modules);
+    let sequential = Compiler::for_variant(Variant::All)
+        .try_compile_batch(&modules)
+        .expect("compiles");
+    let sharded = Compiler::builder(Variant::All)
+        .threads(4)
+        .build()
+        .try_compile_batch(&modules)
+        .expect("compiles");
     assert_eq!(sequential.len(), modules.len());
     for (i, (s, p)) in sequential.iter().zip(&sharded).enumerate() {
         assert_eq!(fingerprint(s), fingerprint(p), "batch item {i} diverged");
@@ -114,13 +124,14 @@ fn typed_errors_cover_the_refusal_cases() {
     assert_eq!(err, CompileError::MissingEntry("no_such_entry".into()));
     assert!(err.to_string().contains("no_such_entry"));
     // Budget empty before the first pass.
-    let err = Compiler::for_variant(Variant::All)
-        .with_budget(Some(0), None)
+    let err = Compiler::builder(Variant::All)
+        .budget(Some(0), None)
+        .build()
         .try_compile(&m)
         .unwrap_err();
     assert_eq!(err, CompileError::BudgetExhaustedBeforeStart);
     // A well-formed module compiles on the same fallible path.
-    assert!(Compiler::for_variant(Variant::All).with_threads(4).try_compile(&m).is_ok());
+    assert!(Compiler::builder(Variant::All).threads(4).build().try_compile(&m).is_ok());
 }
 
 /// The builder covers every knob and the prelude exports everything the
@@ -137,6 +148,6 @@ fn builder_and_prelude_round_trip() {
     assert_eq!(compiler.threads, 4);
     assert!(!compiler.cache);
     let w = &sxe_workloads::all()[0];
-    let compiled = compiler.compile(&w.build(16));
+    let compiled = compiler.try_compile(&w.build(16)).expect("compiles");
     assert!(compiled.report.clean(), "{}", compiled.report.summary());
 }

@@ -32,7 +32,7 @@ fn print_parse_round_trip() {
         let text = m.to_string();
         let reparsed = parse_module(&text).expect("printed IR parses");
         assert_eq!(&m, &reparsed, "case {i}");
-        let compiled = Compiler::for_variant(Variant::All).compile(&m);
+        let compiled = Compiler::for_variant(Variant::All).try_compile(&m).expect("compiles");
         let text2 = compiled.module.to_string();
         let reparsed2 = parse_module(&text2).expect("compiled IR parses");
         assert_eq!(reparsed2.to_string(), text2, "case {i}");
@@ -62,8 +62,10 @@ fn general_opts_alone_preserve_semantics() {
 fn recompilation_preserves_semantics() {
     for (i, p) in gen::program_corpus(0x0b57_0003, CASES) {
         let m = gen::lower(&p);
-        let once = Compiler::for_variant(Variant::All).compile(&m);
-        let twice = Compiler::for_variant(Variant::All).compile(&once.module);
+        let once = Compiler::for_variant(Variant::All).try_compile(&m).expect("compiles");
+        let twice = Compiler::for_variant(Variant::All)
+            .try_compile(&once.module)
+            .expect("compiles");
         sxe_ir::verify_module(&twice.module).expect("verifies");
         assert_eq!(run_key(&once.module), run_key(&twice.module), "case {i}: {p:?}");
     }
@@ -78,7 +80,7 @@ fn byte_cast_elimination_full_pipeline() {
          b0:\n    r1 = const.i32 127\n    r2 = and.i32 r0, r1\n    r3 = extend.8 r2\n    ret r3\n}\n",
     )
     .unwrap();
-    let c = Compiler::for_variant(Variant::All).compile(&m);
+    let c = Compiler::for_variant(Variant::All).try_compile(&m).expect("compiles");
     assert_eq!(c.module.count_extends(Some(sxe_ir::Width::W8)), 0, "{}", c.module);
     let mut vm = Vm::new(&c.module, Target::Ia64);
     assert_eq!(vm.run("main", &[100]).unwrap().ret, Some(100));
@@ -93,7 +95,7 @@ fn byte_cast_kept_when_needed() {
          b0:\n    r1 = extend.8 r0\n    ret r1\n}\n",
     )
     .unwrap();
-    let c = Compiler::for_variant(Variant::All).compile(&m);
+    let c = Compiler::for_variant(Variant::All).try_compile(&m).expect("compiles");
     assert_eq!(c.module.count_extends(Some(sxe_ir::Width::W8)), 1);
     let mut vm = Vm::new(&c.module, Target::Ia64);
     assert_eq!(vm.run("main", &[0x1FF]).unwrap().ret, Some(-1)); // low byte 0xFF
@@ -111,7 +113,7 @@ fn short_width_pipeline_roundtrip() {
     .unwrap();
     let mut reference = None;
     for v in Variant::ALL {
-        let c = Compiler::for_variant(v).compile(&m);
+        let c = Compiler::for_variant(v).try_compile(&m).expect("compiles");
         let mut vm = Vm::new(&c.module, Target::Ia64);
         let out = vm.run("main", &[1000]).unwrap().ret;
         match &reference {
@@ -169,7 +171,7 @@ fn max_array_len_extremes() {
     for maxlen in [1u32, 2, 0x7fff_ffff] {
         let mut compiler = Compiler::for_variant(Variant::All);
         compiler.sxe.max_array_len = maxlen;
-        let c = compiler.compile(&m);
+        let c = compiler.try_compile(&m).expect("compiles");
         let mut vm = Vm::new(&c.module, Target::Ia64);
         let out = vm.run("main", &[8, 7]).unwrap();
         assert_eq!(out.ret, Some(0), "maxlen={maxlen}");

@@ -35,7 +35,11 @@ fn panicking_pass_closes_its_span_with_an_incident_tag() {
     let module = workload_module();
     // Fault-free dry run to learn the boundary count, then aim a panic
     // at a mid-pipeline boundary.
-    let boundaries = Compiler::for_variant(Variant::All).compile(&module).report.boundaries();
+    let boundaries = Compiler::for_variant(Variant::All)
+        .try_compile(&module)
+        .expect("compiles")
+        .report
+        .boundaries();
     assert!(boundaries > 4, "workload should cross several boundaries");
     let plan = FaultPlan {
         seed: 7,
@@ -43,10 +47,12 @@ fn panicking_pass_closes_its_span_with_an_incident_tag() {
         ..FaultPlan::default()
     };
     let tel = Telemetry::enabled();
-    let compiled = Compiler::for_variant(Variant::All)
-        .with_telemetry(tel.clone())
-        .with_fault_plan(plan)
-        .compile(&module);
+    let compiled = Compiler::builder(Variant::All)
+        .telemetry(tel.clone())
+        .fault_plan(plan)
+        .build()
+        .try_compile(&module)
+        .expect("compiles");
 
     let rolled: Vec<_> = compiled
         .report
@@ -98,7 +104,7 @@ fn trace_merge_is_deterministic_across_thread_counts() {
             .threads(threads)
             .telemetry(tel.clone())
             .build();
-        let compiled = compiler.compile(&module);
+        let compiled = compiler.try_compile(&module).expect("compiles");
         (normalize(&tel.events_snapshot()), compiled.module.to_string())
     };
     let (seq_events, seq_module) = trace_with(1);
@@ -115,7 +121,11 @@ fn trace_merge_is_deterministic_across_thread_counts() {
 fn chrome_trace_round_trips_through_the_parser() {
     let module = workload_module();
     let tel = Telemetry::enabled();
-    let _ = Compiler::for_variant(Variant::All).with_telemetry(tel.clone()).compile(&module);
+    let _ = Compiler::builder(Variant::All)
+        .telemetry(tel.clone())
+        .build()
+        .try_compile(&module)
+        .expect("compiles");
     let events = tel.events_snapshot();
     assert!(!events.is_empty());
 
@@ -145,7 +155,11 @@ fn chrome_trace_round_trips_through_the_parser() {
 fn metrics_reconcile_with_compiled_stats_and_validate() {
     let module = workload_module();
     let tel = Telemetry::enabled();
-    let compiled = Compiler::for_variant(Variant::All).with_telemetry(tel.clone()).compile(&module);
+    let compiled = Compiler::builder(Variant::All)
+        .telemetry(tel.clone())
+        .build()
+        .try_compile(&module)
+        .expect("compiles");
     let m = tel.metrics_snapshot();
 
     assert_eq!(m.counter("compile.modules"), 1);
@@ -189,13 +203,19 @@ fn metrics_reconcile_with_compiled_stats_and_validate() {
 #[test]
 fn disabled_sink_leaves_compilation_untouched() {
     let module = workload_module();
-    let plain = Compiler::for_variant(Variant::All).compile(&module);
-    let disabled = Compiler::for_variant(Variant::All)
-        .with_telemetry(Telemetry::disabled())
-        .compile(&module);
+    let plain = Compiler::for_variant(Variant::All).try_compile(&module).expect("compiles");
+    let disabled = Compiler::builder(Variant::All)
+        .telemetry(Telemetry::disabled())
+        .build()
+        .try_compile(&module)
+        .expect("compiles");
     let tel = Telemetry::enabled();
     let traced =
-        Compiler::for_variant(Variant::All).with_telemetry(tel.clone()).compile(&module);
+        Compiler::builder(Variant::All)
+            .telemetry(tel.clone())
+            .build()
+            .try_compile(&module)
+            .expect("compiles");
 
     // Byte-identical module text and identical stats with the sink off…
     assert_eq!(plain.module.to_string(), disabled.module.to_string());

@@ -92,7 +92,9 @@ fn float_benchmarks_have_few_extensions() {
     let density = |name: &str| {
         let w = sxe_workloads::by_name(name).expect("exists");
         let m = w.build(SIZE);
-        let c = sxe_jit::Compiler::for_variant(Variant::Baseline).compile(&m);
+        let c = sxe_jit::Compiler::for_variant(Variant::Baseline)
+            .try_compile(&m)
+            .expect("compiles");
         let mut vm = sxe_vm::Vm::builder(&c.module).target(Target::Ia64).fuel(FUEL).build();
         vm.run("main", &[]).expect("no trap");
         vm.counters().extend_count(None) as f64 / vm.counters().insts as f64

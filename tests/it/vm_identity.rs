@@ -12,37 +12,17 @@
 use sxe_core::Variant;
 use sxe_fuzz::{generate_module, GenConfig};
 use sxe_ir::rng::XorShift;
-use sxe_ir::{Module, Target, TrapKind};
+use sxe_ir::{Module, Target};
 use sxe_jit::Compiler;
-use sxe_vm::{Counters, Engine, Vm, VmError};
+use sxe_vm::{observe, Engine, Vm, VmError};
 
 /// Enough fuel that no scaled-down workload exhausts it.
 const WORKLOAD_FUEL: u64 = 200_000_000;
 
-/// Everything an engine run exposes; two engines are "identical" when
-/// these compare equal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observation {
-    /// `Ok((ret, heap_checksum))` or the trap kind (`None` for non-trap
-    /// errors like arity mismatches, which carry no kind).
-    result: Result<(Option<i64>, u64), Option<TrapKind>>,
-    counters: Counters,
-    fuel_remaining: u64,
-}
-
-fn observe(m: &Module, target: Target, engine: Engine, fuel: u64, args: &[i64]) -> Observation {
-    let mut vm = Vm::builder(m).target(target).engine(engine).fuel(fuel).build();
-    let result = match vm.run("main", args) {
-        Ok(out) => Ok((out.ret, out.heap_checksum)),
-        Err(e) => Err(e.trap_kind()),
-    };
-    Observation { result, counters: vm.counters().clone(), fuel_remaining: vm.fuel_remaining() }
-}
-
 /// Assert tree and decoded agree on every observable for one module.
 fn assert_identical(m: &Module, target: Target, fuel: u64, args: &[i64], label: &str) {
-    let tree = observe(m, target, Engine::Tree, fuel, args);
-    let decoded = observe(m, target, Engine::Decoded, fuel, args);
+    let tree = observe(m, target, Engine::Tree, fuel, "main", args);
+    let decoded = observe(m, target, Engine::Decoded, fuel, "main", args);
     assert_eq!(tree, decoded, "{label} [{target:?}, fuel {fuel}]: engines diverged");
 }
 
@@ -58,7 +38,7 @@ fn workloads_run_identically_on_both_engines() {
     for w in sxe_workloads::all() {
         let m = w.build(scaled(w.default_size));
         for variant in [Variant::Baseline, Variant::All] {
-            let compiled = Compiler::for_variant(variant).compile(&m).module;
+            let compiled = Compiler::for_variant(variant).try_compile(&m).expect("compiles").module;
             for target in Target::ALL {
                 let label = format!("{}/{variant:?}", w.name);
                 assert_identical(&compiled, target, WORKLOAD_FUEL, &[], &label);
@@ -75,7 +55,10 @@ fn workloads_run_identically_on_both_engines() {
 fn fuel_cutoffs_are_bit_identical() {
     let compiler = Compiler::for_variant(Variant::All);
     for w in sxe_workloads::all().into_iter().take(4) {
-        let compiled = compiler.compile(&w.build(scaled(w.default_size))).module;
+        let compiled = compiler
+            .try_compile(&w.build(scaled(w.default_size)))
+            .expect("compiles")
+            .module;
         for fuel in [0, 1, 2, 3, 4, 5, 7, 11, 100, 1_001, 10_007, 100_003] {
             assert_identical(&compiled, Target::Ia64, fuel, &[], w.name);
         }
@@ -86,7 +69,10 @@ fn fuel_cutoffs_are_bit_identical() {
 #[test]
 fn block_profiles_agree_between_engines() {
     let w = &sxe_workloads::all()[0];
-    let m = Compiler::for_variant(Variant::All).compile(&w.build(scaled(w.default_size))).module;
+    let m = Compiler::for_variant(Variant::All)
+        .try_compile(&w.build(scaled(w.default_size)))
+        .expect("compiles")
+        .module;
     let mut profiles = Vec::new();
     for engine in [Engine::Tree, Engine::Decoded] {
         let mut vm = Vm::builder(&m)
@@ -132,15 +118,15 @@ fn fuzzed_modules_run_identically_on_both_engines() {
     let compiler = Compiler::for_variant(Variant::All);
     for seed in 0..1000u64 {
         let raw = generate_module(seed, &config);
-        let compiled = compiler.compile(&raw).module;
+        let compiled = compiler.try_compile(&raw).expect("compiles").module;
         for (m, what) in [(&raw, "raw"), (&compiled, "compiled")] {
             for f in &m.functions {
                 let mut rng = XorShift::new(seed ^ 0x5eed_f00d);
                 let args: Vec<i64> =
                     (0..f.params.len()).map(|_| rng.range_i64(-16, 48)).collect();
                 for target in Target::ALL {
-                    let tree = run_func(m, target, Engine::Tree, &f.name, &args);
-                    let decoded = run_func(m, target, Engine::Decoded, &f.name, &args);
+                    let tree = observe(m, target, Engine::Tree, 30_000, &f.name, &args);
+                    let decoded = observe(m, target, Engine::Decoded, 30_000, &f.name, &args);
                     assert_eq!(
                         tree, decoded,
                         "seed {seed} ({what}) @{} {args:?} [{target:?}]: engines diverged",
@@ -150,13 +136,4 @@ fn fuzzed_modules_run_identically_on_both_engines() {
             }
         }
     }
-}
-
-fn run_func(m: &Module, target: Target, engine: Engine, name: &str, args: &[i64]) -> Observation {
-    let mut vm = Vm::builder(m).target(target).engine(engine).fuel(30_000).build();
-    let result = match vm.run(name, args) {
-        Ok(out) => Ok((out.ret, out.heap_checksum)),
-        Err(e) => Err(e.trap_kind()),
-    };
-    Observation { result, counters: vm.counters().clone(), fuel_remaining: vm.fuel_remaining() }
 }

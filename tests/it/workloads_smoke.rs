@@ -48,8 +48,8 @@ fn profile_guided_compile_agrees() {
     for w in sxe_workloads::all().into_iter().take(4) {
         let m = w.build(12);
         let compiler = sxe_jit::Compiler::for_variant(Variant::All);
-        let plain = compiler.compile(&m);
-        let profiled = compiler.compile_profiled(&m, "main", &[]);
+        let plain = compiler.try_compile(&m).expect("compiles");
+        let profiled = compiler.try_compile_profiled(&m, "main", &[]).expect("compiles");
         let run = |module: &sxe_ir::Module| {
             let mut vm =
                 sxe_vm::Vm::builder(module).target(Target::Ia64).fuel(FUEL).build();

@@ -39,7 +39,11 @@ pub fn compile_run(
     args: &[i64],
     fuel: u64,
 ) -> (RunKey, u64) {
-    let compiled = Compiler::for_variant(variant).with_target(target).compile(source);
+    let compiled = Compiler::builder(variant)
+        .target(target)
+        .build()
+        .try_compile(source)
+        .expect("compiles");
     let mut vm = Vm::builder(&compiled.module).target(target).fuel(fuel).build();
     let key = match vm.run(entry, args) {
         Ok(out) => RunKey { ret: out.ret, heap: Some(out.heap_checksum), trap: None },

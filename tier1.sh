@@ -1,8 +1,11 @@
 #!/usr/bin/env sh
 # Tier-1 gate: build, full test suite, lints on the robustness- and
-# sharding-touched crates, the sharded-compile determinism check, the
-# fault-injection (chaos) smoke sweep, the telemetry gate (schema-valid
-# metrics export, disabled-sink output determinism), and the fuzz gate
+# sharding-touched crates, rustdoc with warnings denied (no doc link to
+# a deleted or private item), a release build of the perfbench
+# benchmark (it pins the compiler API it drives), the sharded-compile
+# determinism check, the fault-injection (chaos) smoke sweep, the
+# telemetry gate (schema-valid metrics export, disabled-sink output
+# determinism), and the fuzz gate
 # (clean smoke campaign, planted-miscompile self-test with a minimized
 # reproducer, thread-count independence of findings), and the serve gate
 # (daemon warm-pass hit rate, SIGKILL crash recovery with quarantine,
@@ -40,6 +43,12 @@ echo "== tier1: clippy -D warnings (touched crates)"
 cargo clippy -q -p sxe-ir -p sxe-analysis -p sxe-core -p sxe-opt -p sxe-vm \
     -p sxe-jit -p sxe-bench -p sxe-telemetry -p sxe-fuzz -p sxe-serve \
     -p sxe-native -p xelim-integration-tests --all-targets -- -D warnings
+
+echo "== tier1: rustdoc -D warnings (doc links must resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
+echo "== tier1: perfbench release build (the benchmark's pinned API still compiles)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 if [ "${1:-}" != "--fast" ]; then
     echo "== tier1: sharded determinism (threads 1 vs 4, 17 workloads)"
