@@ -14,52 +14,27 @@
 //! faulted compile and writes the accumulated registry (incident
 //! counts, rollbacks, per-pass timings) as flat JSON.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
-use sxe_bench::chaos_sweep_with;
+use sxe_bench::{chaos_sweep_with, Args};
 use sxe_jit::Telemetry;
+
+const USAGE: &str = "usage: chaos [--seeds N] [--scale S] [--threads T] [--metrics FILE]";
 
 fn main() -> ExitCode {
     let mut seeds: u64 = 32;
     let mut scale: f64 = 0.05;
     let mut threads: usize = 1;
     let mut metrics: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => seeds = n,
-                None => {
-                    eprintln!("--seeds needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--scale" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => scale = s,
-                None => {
-                    eprintln!("--scale needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => {
-                    eprintln!("--threads needs a worker count >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--metrics" => match it.next() {
-                Some(path) => metrics = Some(path),
-                None => {
-                    eprintln!("--metrics needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                eprintln!("usage: chaos [--seeds N] [--scale S] [--threads T] [--metrics FILE]");
-                return ExitCode::from(2);
-            }
+    let mut args = Args::from_env("chaos", USAGE);
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--seeds" => seeds = args.value(),
+            "--scale" => scale = args.value(),
+            "--threads" => threads = args.value::<NonZeroUsize>().get(),
+            "--metrics" => metrics = Some(args.value()),
+            _ => args.unexpected(),
         }
     }
 

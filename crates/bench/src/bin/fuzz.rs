@@ -31,23 +31,20 @@
 //! compiler × JIT differential: a finding means the optimizer or the
 //! x86-64 code generator broke behaviour.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
+use sxe_bench::Args;
 use sxe_fuzz::{
     check_module, generate_module, reduce, run_campaign, signature_of, Finding, FuzzConfig,
 };
 use sxe_ir::Target;
 use sxe_jit::Telemetry;
-use sxe_vm::Engine;
 
-/// Parse an integer that may carry a `0x` prefix.
-fn parse_u64(s: &str) -> Option<u64> {
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        s.parse().ok()
-    }
-}
+const USAGE: &str = "usage: fuzz [--count N] [--seed S] [--threads T] [--target ia64|ppc64|mips64] \
+                     [--exec decoded|tree|native] [--chaos] [--plant] [--no-reduce] [--out DIR] \
+                     [--oracle-runs N] [--oracle-fuel N] [--oracle-seed S] [--metrics FILE] \
+                     [--module-seed S]";
 
 /// The exact one-line command that replays a finding: same module seed,
 /// target, fault mode, and oracle configuration.
@@ -123,107 +120,28 @@ fn main() -> ExitCode {
     let mut out: Option<String> = None;
     let mut metrics: Option<String> = None;
     let mut single: Option<u64> = None;
-    let usage = "usage: fuzz [--count N] [--seed S] [--threads T] [--target ia64|ppc64|mips64] \
-                 [--exec decoded|tree|native] [--chaos] [--plant] [--no-reduce] [--out DIR] \
-                 [--oracle-runs N] [--oracle-fuel N] [--oracle-seed S] [--metrics FILE] \
-                 [--module-seed S]";
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--count" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => config.count = n,
-                None => {
-                    eprintln!("--count needs a module count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--seed" => match it.next().as_deref().and_then(parse_u64) {
-                Some(s) => config.seed = s,
-                None => {
-                    eprintln!("--seed needs an integer seed");
-                    return ExitCode::from(2);
-                }
-            },
-            "--threads" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.threads = n,
-                _ => {
-                    eprintln!("--threads needs a worker count >= 1");
-                    return ExitCode::from(2);
-                }
-            },
-            "--target" => match it.next().as_deref().map(str::parse::<Target>) {
-                Some(Ok(t)) => config.target = t,
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("--target needs ia64, ppc64, or mips64");
-                    return ExitCode::from(2);
-                }
-            },
-            "--exec" => match it.next().as_deref().map(str::parse::<Engine>) {
-                Some(Ok(engine)) => config.oracle.engine_right = Some(engine),
-                _ => {
-                    eprintln!("--exec needs an engine: decoded, tree, or native");
-                    return ExitCode::from(2);
-                }
-            },
+    let mut args = Args::from_env("fuzz", USAGE);
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--count" => config.count = args.value(),
+            "--seed" => config.seed = args.seed(),
+            "--threads" => config.threads = args.value::<NonZeroUsize>().get(),
+            "--target" => config.target = args.value(),
+            "--exec" => config.oracle.engine_right = Some(args.value()),
             "--chaos" => config.chaos = true,
             "--plant" => config.plant = true,
             "--no-reduce" => config.reduce = false,
-            "--out" => match it.next() {
-                Some(dir) => out = Some(dir),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            "--oracle-runs" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => config.oracle.runs = n,
-                None => {
-                    eprintln!("--oracle-runs needs a run count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--oracle-fuel" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => config.oracle.fuel = n,
-                None => {
-                    eprintln!("--oracle-fuel needs a fuel count");
-                    return ExitCode::from(2);
-                }
-            },
-            "--oracle-seed" => match it.next().as_deref().and_then(parse_u64) {
-                Some(s) => config.oracle.seed = s,
-                None => {
-                    eprintln!("--oracle-seed needs an integer seed");
-                    return ExitCode::from(2);
-                }
-            },
-            "--metrics" => match it.next() {
-                Some(path) => metrics = Some(path),
-                None => {
-                    eprintln!("--metrics needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--module-seed" => match it.next().as_deref().and_then(parse_u64) {
-                Some(s) => single = Some(s),
-                None => {
-                    eprintln!("--module-seed needs an integer seed");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                eprintln!("{usage}");
-                return ExitCode::from(2);
-            }
+            "--out" => out = Some(args.value()),
+            "--oracle-runs" => config.oracle.runs = args.value(),
+            "--oracle-fuel" => config.oracle.fuel = args.value(),
+            "--oracle-seed" => config.oracle.seed = args.seed(),
+            "--metrics" => metrics = Some(args.value()),
+            "--module-seed" => single = Some(args.seed()),
+            _ => args.unexpected(),
         }
     }
     if config.chaos && config.plant {
-        eprintln!("--chaos and --plant are mutually exclusive");
-        return ExitCode::from(2);
+        args.fail("--chaos and --plant are mutually exclusive");
     }
 
     if let Some(seed) = single {

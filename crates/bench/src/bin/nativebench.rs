@@ -16,9 +16,11 @@
 //! only: every `Extend` the 64-bit machine model needs is present) and
 //! `All` (the paper's full elimination) — and both run to completion on
 //! [`Engine::Native`], best-of-N. The pair must agree on return value
-//! and heap checksum or the bench aborts; the executed instruction
-//! counts legitimately differ (that difference *is* the eliminated
-//! work). Reported per workload:
+//! and heap checksum ([`sxe_vm::Observation::result`]) or the bench
+//! aborts; the counters legitimately differ (that difference *is* the
+//! eliminated work). The `All` compile also runs on the decoded
+//! interpreter, and native and decoded must agree on the whole
+//! `Observation`. Reported per workload:
 //!
 //! * decoded vs native throughput on the `All` compile (the JIT's win
 //!   over the interpreter — this is what `--gate` checks);
@@ -34,18 +36,15 @@
 //! when the cycles don't move.
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use sxe_bench::{time_main, Args, TimedRun};
 use sxe_core::Variant;
-use sxe_ir::{Module, Target};
+use sxe_ir::Module;
 use sxe_jit::Compiler;
-use sxe_vm::{Engine, Outcome, Vm};
+use sxe_vm::Engine;
 
-const FUEL: u64 = 4_000_000_000;
-
-fn scaled(w: &sxe_workloads::Workload, scale: f64) -> u32 {
-    ((w.default_size as f64 * scale) as u32).max(4)
-}
+const USAGE: &str = "usage: nativebench [--scale S] [--repeats N] [--gate MIN]";
 
 /// A float-free workload? The textual IR carries a `.f64` / `f64`
 /// marker on every float-typed operation, so the emitted text is a
@@ -56,52 +55,27 @@ fn is_integer_only(m: &Module) -> bool {
     !m.to_string().contains("f64")
 }
 
-/// Best-of-`repeats` wall clock for `main()`, plus the observables and
-/// the total extend-attributed machine-code bytes (0 on the decoded
-/// engine, which has no machine code).
-fn measure(m: &Module, engine: Engine, repeats: u32) -> (Duration, Outcome, u64, usize) {
-    let mut vm = Vm::builder(m).target(Target::Ia64).engine(engine).fuel(FUEL).build();
-    if engine == Engine::Native {
-        for (name, why) in vm.native_refusals() {
-            eprintln!("nativebench:   fallback @{name}: {why}");
-        }
+/// [`time_main`] on the native engine, reporting every function that
+/// fell back to the decoded interpreter.
+fn time_native(m: &Module, repeats: u32) -> TimedRun {
+    let run = time_main(m, Engine::Native, repeats);
+    for (name, why) in &run.refusals {
+        eprintln!("nativebench:   fallback @{name}: {why}");
     }
-    let ext_bytes = vm.native_code_stats().iter().map(|&(_, _, e)| e).sum();
-    let mut best = Duration::MAX;
-    let mut out = None;
-    for _ in 0..repeats.max(1) {
-        vm.reset();
-        let t0 = Instant::now();
-        let o = vm.run("main", &[]).expect("workload must not trap");
-        best = best.min(t0.elapsed());
-        out = Some(o);
-    }
-    (best, out.expect("at least one round"), vm.counters().insts, ext_bytes)
+    run
 }
 
 fn main() -> ExitCode {
     let mut scale = 1.0f64;
     let mut repeats = 5u32;
     let mut gate: Option<f64> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().ok_or(format!("{a} needs a value"));
-        let r: Result<(), String> = (|| {
-            match a.as_str() {
-                "--scale" => scale = val()?.parse().map_err(|e| format!("--scale: {e}"))?,
-                "--repeats" => {
-                    repeats = val()?.parse().map_err(|e| format!("--repeats: {e}"))?;
-                }
-                "--gate" => {
-                    gate = Some(val()?.parse().map_err(|e| format!("--gate: {e}"))?);
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = r {
-            eprintln!("nativebench: {e}");
-            return ExitCode::FAILURE;
+    let mut args = Args::from_env("nativebench", USAGE);
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--scale" => scale = args.value(),
+            "--repeats" => repeats = args.value(),
+            "--gate" => gate = Some(args.value()),
+            _ => args.unexpected(),
         }
     }
 
@@ -116,7 +90,7 @@ fn main() -> ExitCode {
     // Headline aggregates (all workloads, native engine).
     let (mut base_total, mut all_total) = (Duration::ZERO, Duration::ZERO);
     for w in sxe_workloads::all() {
-        let m = w.build(scaled(&w, scale));
+        let m = w.build(w.scaled(scale));
         let (base, all) = match (base_compiler.try_compile(&m), all_compiler.try_compile(&m)) {
             (Ok(base), Ok(all)) => (base.module, all.module),
             (Err(e), _) | (_, Err(e)) => {
@@ -124,21 +98,22 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let (bt, bout, _, bext) = measure(&base, Engine::Native, repeats);
-        let (at, aout, ainsts, aext) = measure(&all, Engine::Native, repeats);
+        let base_native = time_native(&base, repeats);
+        let all_native = time_native(&all, repeats);
         assert_eq!(
-            (bout.ret, bout.heap_checksum),
-            (aout.ret, aout.heap_checksum),
+            base_native.observation.result, all_native.observation.result,
             "{}: Baseline and All diverged on native code",
             w.name
         );
-        let (dt, dout, dinsts, _) = measure(&all, Engine::Decoded, repeats);
+        let all_decoded = time_main(&all, Engine::Decoded, repeats);
         assert_eq!(
-            (dout.ret, dout.heap_checksum, dinsts),
-            (aout.ret, aout.heap_checksum, ainsts),
+            all_decoded.observation, all_native.observation,
             "{}: native and decoded diverged",
             w.name
         );
+        let (bt, at, dt) = (base_native.best, all_native.best, all_decoded.best);
+        let ainsts = all_native.observation.counters.insts;
+        let (bext, aext) = (base_native.extend_bytes, all_native.extend_bytes);
         let mips = |d: Duration| ainsts as f64 / d.as_secs_f64().max(1e-12) / 1e6;
         println!(
             "{:<16} {:>12} {:>12.1} {:>12.1} {:>8.2}x {:>8.3}x {:>8}",

@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 
 use sxe_bench::netchaos::{check_slow_loris, run_campaign, run_fuzz, ChaosOptions};
-use sxe_bench::ReproCmd;
+use sxe_bench::{Args, ReproCmd};
 use sxe_serve::{crash_point_sweep, CompiledArtifact};
 
 struct Options {
@@ -36,26 +36,22 @@ impl Default for Options {
     }
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+const USAGE: &str = "usage: netchaos [--seeds N] [--frames N] [--threads N] [--seed S] [--gate]";
+
+fn parse_args() -> Options {
     let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().map(String::as_str).ok_or_else(|| format!("{name} needs a value"))
-        };
-        let bad = |name: &str| format!("bad value for {name}");
-        match arg.as_str() {
-            "--seeds" => opts.seeds = value("--seeds")?.parse().map_err(|_| bad("--seeds"))?,
-            "--frames" => opts.frames = value("--frames")?.parse().map_err(|_| bad("--frames"))?,
-            "--threads" => {
-                opts.threads = value("--threads")?.parse().map_err(|_| bad("--threads"))?;
-            }
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|_| bad("--seed"))?,
+    let mut args = Args::from_env("netchaos", USAGE);
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--seeds" => opts.seeds = args.value(),
+            "--frames" => opts.frames = args.value(),
+            "--threads" => opts.threads = args.value(),
+            "--seed" => opts.seed = args.seed(),
             "--gate" => opts.gate = true,
-            other => return Err(format!("unknown option `{other}`")),
+            _ => args.unexpected(),
         }
     }
-    Ok(opts)
+    opts
 }
 
 /// A realistic artifact-store entry for the crash-point sweep: the
@@ -162,14 +158,7 @@ fn run_gate(opts: &Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("netchaos: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let opts = parse_args();
     let result = if opts.gate { run_gate(&opts) } else { run_default(&opts) };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -1,7 +1,7 @@
 //! Reproduce the paper's tables and figures.
 //!
 //! ```text
-//! repro [--scale S] [table1|table2|table3|fig11|fig12|fig13|fig14|all]
+//! repro [--scale S] [table1|table2|table3|fig11|fig12|fig13|fig14|ppc64|all]
 //! ```
 //!
 //! `--scale` multiplies every workload's default size (default 1.0; use
@@ -9,11 +9,18 @@
 
 use sxe_bench::{
     compile_time_table, dynamic_extend_table_on, figure_series, render_compile_times,
-    render_speedups, render_table, speedup_figure, CountTable,
+    render_speedups, render_table, speedup_figure, Args, CountTable,
 };
 use sxe_ir::Target;
 use sxe_jit::CompileError;
 use sxe_workloads::Suite;
+
+const USAGE: &str =
+    "usage: repro [--scale S] [table1|table2|table3|fig11|fig12|fig13|fig14|ppc64|all]";
+
+/// Every name `repro` reproduces.
+const NAMES: [&str; 9] =
+    ["table1", "table2", "table3", "fig11", "fig12", "fig13", "fig14", "ppc64", "all"];
 
 struct Lazy {
     scale: f64,
@@ -37,22 +44,16 @@ impl Lazy {
 fn main() {
     let mut scale = 1.0f64;
     let mut what: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
-            }
+    let mut args = Args::from_env("repro", USAGE);
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--scale" => scale = args.value(),
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--scale S] [table1|table2|table3|fig11|fig12|fig13|fig14|ppc64|all]"
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => what.push(other.to_string()),
+            name if NAMES.contains(&name) => what.push(arg),
+            _ => args.unexpected(),
         }
     }
     if what.is_empty() {
@@ -102,10 +103,8 @@ fn table(suite: Suite, scale: f64, target: Target) -> CountTable {
 /// Unwrap a table, exiting with the compile error if a workload was
 /// refused.
 fn or_exit<T>(result: Result<T, CompileError>) -> T {
-    result.unwrap_or_else(|e| die(&format!("workload compile refused: {e}")))
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    std::process::exit(2);
+    result.unwrap_or_else(|e| {
+        eprintln!("repro: workload compile refused: {e}");
+        std::process::exit(1)
+    })
 }

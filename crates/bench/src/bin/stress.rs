@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
-use sxe_bench::ReproCmd;
+use sxe_bench::{Args, ReproCmd};
 use sxe_ir::rng::XorShift;
 use sxe_serve::{
     stat_value, CacheOutcome, Client, CompileRequest, CompiledArtifact, Response, RetryPolicy,
@@ -58,31 +58,25 @@ impl Default for Options {
     }
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+const USAGE: &str = "usage: stress [--clients N] [--requests N] [--threads N] \
+                     [--queue-capacity N] [--scale F] [--seed S] [--gate]";
+
+fn parse_args() -> Options {
     let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().map(String::as_str).ok_or_else(|| format!("{name} needs a value"))
-        };
-        let bad = |name: &str| format!("bad value for {name}");
-        match arg.as_str() {
-            "--clients" => opts.clients = value("--clients")?.parse().map_err(|_| bad("--clients"))?,
-            "--requests" => {
-                opts.requests = value("--requests")?.parse().map_err(|_| bad("--requests"))?;
-            }
-            "--threads" => opts.threads = value("--threads")?.parse().map_err(|_| bad("--threads"))?,
-            "--queue-capacity" => {
-                opts.queue_capacity =
-                    value("--queue-capacity")?.parse().map_err(|_| bad("--queue-capacity"))?;
-            }
-            "--scale" => opts.scale = value("--scale")?.parse().map_err(|_| bad("--scale"))?,
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|_| bad("--seed"))?,
+    let mut args = Args::from_env("stress", USAGE);
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--clients" => opts.clients = args.value(),
+            "--requests" => opts.requests = args.value(),
+            "--threads" => opts.threads = args.value(),
+            "--queue-capacity" => opts.queue_capacity = args.value(),
+            "--scale" => opts.scale = args.value(),
+            "--seed" => opts.seed = args.seed(),
             "--gate" => opts.gate = true,
-            other => return Err(format!("unknown option `{other}`")),
+            _ => args.unexpected(),
         }
     }
-    Ok(opts)
+    opts
 }
 
 /// The 17 workload modules as request sources. `bump` offsets every
@@ -91,7 +85,7 @@ fn workload_sources(scale: f64, bump: u32) -> Vec<(String, String)> {
     sxe_workloads::all()
         .iter()
         .map(|w| {
-            let size = ((w.default_size as f64 * scale) as u32).max(4) + bump;
+            let size = w.scaled(scale) + bump;
             (w.name.to_string(), w.build(size).to_string())
         })
         .collect()
@@ -379,14 +373,7 @@ fn run_gate(opts: &Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("stress: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let opts = parse_args();
     let result = if opts.gate { run_gate(&opts) } else { run_load(&opts) };
     match result {
         Ok(()) => ExitCode::SUCCESS,

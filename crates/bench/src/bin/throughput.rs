@@ -22,9 +22,12 @@
 
 use std::process::ExitCode;
 
-use sxe_bench::{compile_throughput, render_throughput};
+use sxe_bench::{compile_throughput, render_throughput, Args};
 use sxe_core::Variant;
 use sxe_jit::{Compiled, Compiler, Telemetry};
+
+const USAGE: &str =
+    "usage: throughput [--scale S] [--repeats N] [--threads A,B,C] [--check] [--metrics FILE]";
 
 /// Everything that must match across thread counts: function bodies,
 /// elimination stats, optimizer stats, per-pass record shapes.
@@ -50,8 +53,7 @@ fn check_determinism(scale: f64) -> ExitCode {
     let sharded = Compiler::builder(Variant::All).threads(4).build();
     let mut failures = 0u32;
     for w in sxe_workloads::all() {
-        let size = ((w.default_size as f64 * scale) as u32).max(4);
-        let m = w.build(size);
+        let m = w.build(w.scaled(scale));
         match (sequential.try_compile(&m), sharded.try_compile(&m)) {
             (Ok(seq), Ok(par)) if fingerprint(&seq) == fingerprint(&par) => {
                 println!("throughput: {:<16} threads 1 vs 4: identical", w.name);
@@ -81,52 +83,21 @@ fn main() -> ExitCode {
     let mut threads: Vec<usize> = vec![1, 2, 4, 8];
     let mut check = false;
     let mut metrics: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(s) => scale = s,
-                None => {
-                    eprintln!("--scale needs a number");
-                    return ExitCode::from(2);
-                }
-            },
-            "--repeats" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => repeats = n,
-                None => {
-                    eprintln!("--repeats needs a count");
-                    return ExitCode::from(2);
-                }
-            },
+    let mut args = Args::from_env("throughput", USAGE);
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--scale" => scale = args.value(),
+            "--repeats" => repeats = args.value(),
             "--threads" => {
-                let parsed: Option<Vec<usize>> = it
-                    .next()
-                    .map(|s| s.split(',').map(|t| t.parse().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(list) if !list.is_empty() => threads = list,
-                    _ => {
-                        eprintln!("--threads needs a comma-separated list, e.g. 1,2,4");
-                        return ExitCode::from(2);
-                    }
-                }
+                let list: String = args.value();
+                threads = match list.split(',').map(str::parse).collect() {
+                    Ok(list) => list,
+                    Err(_) => args.fail("--threads needs a comma-separated list, e.g. 1,2,4"),
+                };
             }
             "--check" => check = true,
-            "--metrics" => match it.next() {
-                Some(path) => metrics = Some(path),
-                None => {
-                    eprintln!("--metrics needs a file path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("unexpected argument `{other}`");
-                eprintln!(
-                    "usage: throughput [--scale S] [--repeats N] [--threads A,B,C] \
-                     [--check] [--metrics FILE]"
-                );
-                return ExitCode::from(2);
-            }
+            "--metrics" => metrics = Some(args.value()),
+            _ => args.unexpected(),
         }
     }
 
@@ -152,7 +123,7 @@ fn main() -> ExitCode {
             Compiler::builder(Variant::All).threads(pool).telemetry(tel.clone()).build();
         let modules: Vec<_> = sxe_workloads::all()
             .iter()
-            .map(|w| w.build(((w.default_size as f64 * scale) as u32).max(4)))
+            .map(|w| w.build(w.scaled(scale)))
             .collect();
         if let Err(e) = compiler.try_compile_batch(&modules) {
             eprintln!("throughput: compile refused: {e}");

@@ -10,69 +10,34 @@
 //!
 //! Every workload is compiled with the full algorithm, then `main()` is
 //! run to completion on both engines. Beyond the timings, each pair of
-//! runs is an identity check: return value, heap checksum, and executed
-//! instruction count must agree or the bench aborts. The aggregate
-//! speedup is total-work-over-total-time (sum of instructions divided by
-//! sum of best wall-clock times, per engine), so long workloads weigh
-//! proportionally — the same figure `tier1.sh` gates on.
+//! runs is an identity check: the engines' whole [`sxe_vm::Observation`]s
+//! (return value, heap checksum, counters, fuel left) must agree or the
+//! bench aborts. The aggregate speedup is total-work-over-total-time
+//! (sum of instructions divided by sum of best wall-clock times, per
+//! engine), so long workloads weigh proportionally — the same figure
+//! `tier1.sh` gates on.
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use sxe_bench::{time_main, Args};
 use sxe_core::Variant;
-use sxe_ir::Target;
 use sxe_jit::Compiler;
-use sxe_vm::{Engine, Outcome, Vm};
+use sxe_vm::Engine;
 
-const FUEL: u64 = 4_000_000_000;
-
-fn scaled(w: &sxe_workloads::Workload, scale: f64) -> u32 {
-    ((w.default_size as f64 * scale) as u32).max(4)
-}
-
-/// Best-of-`repeats` wall-clock for `main()` under `engine`, plus the
-/// observables the engines must agree on.
-fn measure(
-    module: &sxe_ir::Module,
-    engine: Engine,
-    repeats: u32,
-) -> (Duration, Outcome, u64) {
-    let mut vm = Vm::builder(module).target(Target::Ia64).engine(engine).fuel(FUEL).build();
-    let mut best = Duration::MAX;
-    let mut out = None;
-    for _ in 0..repeats.max(1) {
-        vm.reset();
-        let t0 = Instant::now();
-        let o = vm.run("main", &[]).expect("workload must not trap");
-        best = best.min(t0.elapsed());
-        out = Some(o);
-    }
-    (best, out.expect("at least one round"), vm.counters().insts)
-}
+const USAGE: &str = "usage: vmbench [--scale S] [--repeats N] [--gate MIN]";
 
 fn main() -> ExitCode {
     let mut scale = 1.0f64;
     let mut repeats = 3u32;
     let mut gate: Option<f64> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().ok_or(format!("{a} needs a value"));
-        let r: Result<(), String> = (|| {
-            match a.as_str() {
-                "--scale" => scale = val()?.parse().map_err(|e| format!("--scale: {e}"))?,
-                "--repeats" => {
-                    repeats = val()?.parse().map_err(|e| format!("--repeats: {e}"))?;
-                }
-                "--gate" => {
-                    gate = Some(val()?.parse().map_err(|e| format!("--gate: {e}"))?);
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = r {
-            eprintln!("vmbench: {e}");
-            return ExitCode::FAILURE;
+    let mut args = Args::from_env("vmbench", USAGE);
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--scale" => scale = args.value(),
+            "--repeats" => repeats = args.value(),
+            "--gate" => gate = Some(args.value()),
+            _ => args.unexpected(),
         }
     }
 
@@ -84,7 +49,7 @@ fn main() -> ExitCode {
     let (mut tree_total, mut decoded_total) = (Duration::ZERO, Duration::ZERO);
     let mut insts_total = 0u64;
     for w in sxe_workloads::all() {
-        let m = w.build(scaled(&w, scale));
+        let m = w.build(w.scaled(scale));
         let compiled = match compiler.try_compile(&m) {
             Ok(c) => c,
             Err(e) => {
@@ -92,14 +57,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let (tt, tout, tinsts) = measure(&compiled.module, Engine::Tree, repeats);
-        let (dt, dout, dinsts) = measure(&compiled.module, Engine::Decoded, repeats);
-        assert_eq!(
-            (tout.ret, tout.heap_checksum, tinsts),
-            (dout.ret, dout.heap_checksum, dinsts),
-            "{}: engines diverged",
-            w.name
-        );
+        let tree = time_main(&compiled.module, Engine::Tree, repeats);
+        let decoded = time_main(&compiled.module, Engine::Decoded, repeats);
+        assert_eq!(tree.observation, decoded.observation, "{}: engines diverged", w.name);
+        let (tt, dt) = (tree.best, decoded.best);
+        let tinsts = tree.observation.counters.insts;
         let mips = |d: Duration| tinsts as f64 / d.as_secs_f64().max(1e-12) / 1e6;
         println!(
             "{:<16} {:>12} {:>14.1} {:>14.1} {:>8.2}x",

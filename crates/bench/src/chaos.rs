@@ -107,7 +107,7 @@ pub fn chaos_sweep_with(
             errors.push(format!("unknown workload `{name}`"));
             continue;
         };
-        let size = ((w.default_size as f64 * scale) as u32).max(4);
+        let size = w.scaled(scale);
         let module = w.build(size);
         // The oracle reference is the conversion-only (Baseline) compile:
         // the raw 32-bit module is not meaningful on the 64-bit machine

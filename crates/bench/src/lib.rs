@@ -22,15 +22,16 @@ pub mod cmdline;
 pub mod netchaos;
 
 pub use chaos::{chaos_sweep, chaos_sweep_on, chaos_sweep_with, ChaosRecord, ChaosSummary};
-pub use cmdline::ReproCmd;
+pub use cmdline::{Args, ReproCmd};
 
 use std::fmt::Write as _;
+use std::time::{Duration, Instant};
 
 use sxe_core::Variant;
-use sxe_ir::{Target, Width};
+use sxe_ir::{Module, Target, Width};
 use sxe_jit::{CompileError, Compiled, Compiler, Telemetry};
 use sxe_telemetry::{ArgValue, Event};
-use sxe_vm::Vm;
+use sxe_vm::{Engine, Observation, Vm};
 use sxe_workloads::{Suite, Workload};
 
 /// Execution fuel for harness runs.
@@ -77,11 +78,6 @@ fn run_counting(compiled: &Compiled, target: Target) -> (u64, u64, u64) {
     )
 }
 
-/// Scale a workload size by `scale` (at least 4).
-fn scaled(w: &Workload, scale: f64) -> u32 {
-    ((w.default_size as f64 * scale) as u32).max(4)
-}
-
 /// Compute Table 1 (`suite = JByteMark`) or Table 2 (`SpecJvm98`).
 ///
 /// `scale` multiplies every workload's default size (use < 1.0 for quick
@@ -122,7 +118,7 @@ pub fn dynamic_extend_table_on(
         let compiler = Compiler::builder(variant).target(target).build();
         let mut cells = Vec::new();
         for (i, w) in workloads.iter().enumerate() {
-            let m = w.build(scaled(w, scale));
+            let m = w.build(w.scaled(scale));
             // Paper-faithful: the combined interpreter + dynamic compiler
             // profiles the code before optimizing, feeding measured block
             // frequencies to order determination.
@@ -215,7 +211,7 @@ pub fn speedup_figure(suite: Suite, scale: f64) -> Result<Vec<SpeedupBar>, Compi
         .into_iter()
         .filter(|w| w.suite == suite)
         .map(|w| {
-            let m = w.build(scaled(&w, scale));
+            let m = w.build(w.scaled(scale));
             let base = base_compiler.try_compile_profiled(&m, "main", &[])?;
             let all = all_compiler.try_compile_profiled(&m, "main", &[])?;
             let (_, base_cycles, _) = run_counting(&base, Target::Ia64);
@@ -289,7 +285,7 @@ pub fn compile_time_table(scale: f64, repeats: u32) -> Result<Vec<CompileTimeRow
     let repeats = repeats.max(1);
     let mut rows = Vec::new();
     for w in sxe_workloads::all() {
-        let m = w.build(scaled(&w, scale));
+        let m = w.build(w.scaled(scale));
         let telemetry = Telemetry::enabled();
         let compiler = Compiler::builder(Variant::All).telemetry(telemetry.clone()).build();
         for _ in 0..repeats {
@@ -373,18 +369,15 @@ pub fn compile_throughput(
 ) -> Result<Vec<ThroughputPoint>, CompileError> {
     let modules: Vec<_> = sxe_workloads::all()
         .iter()
-        .map(|w| w.build(scaled(w, scale)))
+        .map(|w| w.build(w.scaled(scale)))
         .collect();
     let mut points: Vec<ThroughputPoint> = Vec::new();
     for &threads in threads_list {
         let compiler = Compiler::builder(Variant::All).threads(threads).build();
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats.max(1) {
-            let t0 = std::time::Instant::now();
-            std::hint::black_box(compiler.try_compile_batch(&modules)?);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        let modules_per_sec = modules.len() as f64 / best.max(1e-12);
+        let (best, batch) =
+            best_of(repeats, &mut (), |()| {}, |()| compiler.try_compile_batch(&modules));
+        std::hint::black_box(batch?);
+        let modules_per_sec = modules.len() as f64 / best.as_secs_f64().max(1e-12);
         let reference = points.first().map_or(modules_per_sec, |p| p.modules_per_sec);
         points.push(ThroughputPoint {
             threads,
@@ -393,6 +386,61 @@ pub fn compile_throughput(
         });
     }
     Ok(points)
+}
+
+/// The best wall time of `repeats` rounds (at least one) of `timed`,
+/// and the last round's value. `prepare` runs before each round,
+/// outside the timed region; both get `state`.
+fn best_of<S, T>(
+    repeats: u32,
+    state: &mut S,
+    mut prepare: impl FnMut(&mut S),
+    mut timed: impl FnMut(&mut S) -> T,
+) -> (Duration, T) {
+    let mut best = Duration::MAX;
+    let mut last = None;
+    for _ in 0..repeats.max(1) {
+        prepare(state);
+        let t0 = Instant::now();
+        let value = timed(state);
+        best = best.min(t0.elapsed());
+        last = Some(value);
+    }
+    (best, last.expect("at least one round ran"))
+}
+
+/// One [`time_main`] measurement.
+#[derive(Debug, Clone)]
+pub struct TimedRun {
+    /// Best wall time of one `main()` run.
+    pub best: Duration,
+    /// What the last run exposed.
+    pub observation: Observation,
+    /// Machine-code bytes attributed to extensions (0 off
+    /// [`Engine::Native`]).
+    pub extend_bytes: usize,
+    /// Functions the native backend refused, with the reason (empty off
+    /// [`Engine::Native`]).
+    pub refusals: Vec<(String, String)>,
+}
+
+/// Run `main()` of `m` on `engine` (IA64 model, [`FUEL`]) `repeats`
+/// times on one VM, reset between runs, and keep the best wall time.
+///
+/// # Panics
+/// Panics if `main()` traps: a benchmark workload must run to
+/// completion.
+#[must_use]
+pub fn time_main(m: &Module, engine: Engine, repeats: u32) -> TimedRun {
+    let mut vm = Vm::builder(m).target(Target::Ia64).engine(engine).fuel(FUEL).build();
+    let refusals = vm.native_refusals();
+    let extend_bytes = vm.native_code_stats().iter().map(|&(_, _, e)| e).sum();
+    let (best, run) = best_of(repeats, &mut vm, Vm::reset, |vm| vm.run("main", &[]));
+    if let Err(e) = &run {
+        panic!("workload must not trap: {e}");
+    }
+    let observation = Observation::of(&vm, &run);
+    TimedRun { best, observation, extend_bytes, refusals }
 }
 
 /// Render a [`compile_throughput`] sweep as aligned text.
@@ -499,6 +547,22 @@ mod tests {
         assert!(points.iter().all(|p| p.modules_per_sec > 0.0));
         let text = render_throughput(&points);
         assert!(text.contains("threads"));
+    }
+
+    /// Resetting one VM between timed rounds leaves the same observable
+    /// run as a fresh VM.
+    #[test]
+    fn timed_runs_observe_what_a_fresh_run_does() {
+        let w = &sxe_workloads::all()[0];
+        let m = Compiler::for_variant(Variant::All)
+            .try_compile(&w.build(w.scaled(0.02)))
+            .expect("compiles")
+            .module;
+        let fresh = sxe_vm::observe(&m, Target::Ia64, Engine::Decoded, FUEL, "main", &[]);
+        let timed = time_main(&m, Engine::Decoded, 3);
+        assert_eq!(timed.observation, fresh);
+        assert!(timed.best > Duration::ZERO);
+        assert_eq!((timed.extend_bytes, timed.refusals.len()), (0, 0));
     }
 
     #[test]

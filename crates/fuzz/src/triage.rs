@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use sxe_ir::hash::{fnv1a, FNV_OFFSET};
 use sxe_ir::Module;
 use sxe_vm::Mismatch;
 
@@ -138,12 +139,7 @@ impl Signature {
     pub fn short_hash(&self) -> u64 {
         // FNV-1a over the canonical rendering; stable across platforms
         // and campaign orderings.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_string().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        fnv1a(FNV_OFFSET, self.to_string().as_bytes())
     }
 }
 

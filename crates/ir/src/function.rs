@@ -268,14 +268,12 @@ impl Function {
         struct Fnv(u64);
         impl std::fmt::Write for Fnv {
             fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                for &b in s.as_bytes() {
-                    self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-                }
+                self.0 = crate::hash::fnv1a(self.0, s.as_bytes());
                 Ok(())
             }
         }
 
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv(crate::hash::FNV_OFFSET);
         let _ = write!(h, "{self}#regs={}", self.reg_count);
         h.0
     }

@@ -49,6 +49,7 @@ mod display;
 mod dom;
 pub mod eval;
 mod function;
+pub mod hash;
 mod inst;
 mod loops;
 mod parse;

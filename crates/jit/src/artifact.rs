@@ -42,6 +42,7 @@
 //! [`CompileReport::clean`]: crate::CompileReport::clean
 //! [`Function::fingerprint`]: sxe_ir::Function::fingerprint
 
+use sxe_ir::hash::{fnv1a, FNV_OFFSET};
 use sxe_ir::Module;
 
 use crate::Compiler;
@@ -90,18 +91,6 @@ impl std::str::FromStr for Backend {
             other => Err(format!("unknown backend `{other}` (expected `vm` or `native`)")),
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold `bytes` into an FNV-1a accumulator.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Fingerprint of the output-affecting compiler configuration: the

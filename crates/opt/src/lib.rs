@@ -41,5 +41,5 @@ pub mod pipeline;
 pub mod simplify;
 
 pub use pipeline::{
-    run_function, run_function_cached, run_module, GeneralOpts, OptStats, Pass,
+    run_function, run_module, GeneralOpts, OptStats, Pass,
 };

@@ -254,33 +254,6 @@ pub fn run_function(f: &mut Function, opts: &GeneralOpts, target: Target) -> Opt
     stats
 }
 
-/// [`run_function`] sharing a memoized [`AnalysisCache`] across passes and
-/// fixpoint rounds, so the no-progress final round (and every clean pass
-/// before it) stops recomputing CFG and liveness from scratch.
-pub fn run_function_cached(
-    f: &mut Function,
-    opts: &GeneralOpts,
-    cache: &mut AnalysisCache,
-    target: Target,
-) -> OptStats {
-    let passes = opts.passes();
-    let mut stats = OptStats::default();
-    for _ in 0..opts.max_iters {
-        let mut round = OptStats::default();
-        for &p in &passes {
-            p.record(&mut round, p.run_cached(f, cache, target));
-        }
-        let progress = round.total();
-        stats.merge(round);
-        if progress == 0 {
-            break;
-        }
-    }
-    f.compact();
-    cache.note_rewrites(&f.name, stats.total());
-    stats
-}
-
 /// Optimize every function of a module for `target` (inlining first,
 /// when enabled).
 pub fn run_module(m: &mut Module, opts: &GeneralOpts, target: Target) -> OptStats {

@@ -38,6 +38,8 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use sxe_ir::hash::{fnv1a, FNV_OFFSET};
+
 const MAGIC: &[u8] = b"SXEART1\n";
 
 /// Effectiveness and robustness counters, surfaced as the
@@ -66,15 +68,6 @@ pub struct ArtifactStore {
     keys: HashSet<u64>,
     write_delay: Option<Duration>,
     stats: StoreStats,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn entry_name(key: u64) -> String {
@@ -259,7 +252,7 @@ fn encode_entry(key: u64, payload: &[u8]) -> Vec<u8> {
     bytes.extend_from_slice(MAGIC);
     bytes.extend_from_slice(format!("key={key:016x}\n").as_bytes());
     bytes.extend_from_slice(format!("len={}\n", payload.len()).as_bytes());
-    bytes.extend_from_slice(format!("fnv={:016x}\n", fnv1a(payload)).as_bytes());
+    bytes.extend_from_slice(format!("fnv={:016x}\n", fnv1a(FNV_OFFSET, payload)).as_bytes());
     bytes.extend_from_slice(payload);
     bytes
 }
@@ -408,7 +401,7 @@ fn read_entry(path: &Path, want_key: u64) -> io::Result<Vec<u8>> {
     if payload.len() != len {
         return Err(bad("payload truncated or extended"));
     }
-    if fnv1a(payload) != fnv {
+    if fnv1a(FNV_OFFSET, payload) != fnv {
         return Err(bad("checksum mismatch"));
     }
     Ok(payload.to_vec())

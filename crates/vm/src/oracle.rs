@@ -23,10 +23,12 @@
 //!   skipped: the two modules execute different instruction counts by
 //!   design, so fuel runs out at different points.
 
+use sxe_ir::hash::{fnv1a, FNV_OFFSET};
 use sxe_ir::rng::XorShift;
 use sxe_ir::{Module, Target, TrapKind, Ty};
 
 use crate::counters::Counters;
+use crate::machine::Outcome;
 use crate::vm::{Engine, Vm, VmError};
 
 /// Configuration for one oracle sweep.
@@ -165,6 +167,16 @@ pub struct Observation {
 }
 
 impl Observation {
+    /// Record what `vm` exposes after it produced `run`, its latest run.
+    #[must_use]
+    pub fn of(vm: &Vm, run: &Result<Outcome, VmError>) -> Observation {
+        let result = match run {
+            Ok(out) => Ok((out.ret, out.heap_checksum)),
+            Err(e) => Err(e.trap_kind()),
+        };
+        Observation { result, counters: vm.counters().clone(), fuel_remaining: vm.fuel_remaining() }
+    }
+
     /// Whether the run ran out of fuel.
     #[must_use]
     pub fn exhausted(&self) -> bool {
@@ -184,11 +196,8 @@ pub fn observe(
     args: &[i64],
 ) -> Observation {
     let mut vm = Vm::builder(m).target(target).engine(engine).fuel(fuel).build();
-    let result = match vm.run(entry, args) {
-        Ok(out) => Ok((out.ret, out.heap_checksum)),
-        Err(e) => Err(e.trap_kind()),
-    };
-    Observation { result, counters: vm.counters().clone(), fuel_remaining: vm.fuel_remaining() }
+    let run = vm.run(entry, args);
+    Observation::of(&vm, &run)
 }
 
 enum RunResult {
@@ -248,15 +257,6 @@ fn sample_arg(rng: &mut XorShift) -> i64 {
     }
 }
 
-/// FNV-1a over a function name, for deriving its argument stream.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The deterministic argument set the oracle uses for (`function`,
 /// `run`) under `config.seed`. Derivable without replaying any earlier
 /// function or run — this is what makes a [`Mismatch`] (which carries
@@ -265,7 +265,7 @@ fn fnv1a(s: &str) -> u64 {
 pub fn oracle_args(config: &OracleConfig, function: &str, arity: usize, run: usize) -> Vec<i64> {
     let mut rng = XorShift::new(
         config.seed
-            ^ fnv1a(function)
+            ^ fnv1a(FNV_OFFSET, function.as_bytes())
             ^ (run as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
     );
     (0..arity).map(|_| sample_arg(&mut rng)).collect()

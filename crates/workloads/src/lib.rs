@@ -69,6 +69,13 @@ impl Workload {
     pub fn build_default(&self) -> Module {
         self.build(self.default_size)
     }
+
+    /// The default size multiplied by `scale`, truncated, and at least 4:
+    /// the size every harness builds at for a `--scale` factor.
+    #[must_use]
+    pub fn scaled(&self, scale: f64) -> u32 {
+        ((self.default_size as f64 * scale) as u32).max(4)
+    }
 }
 
 /// All seventeen workloads in the paper's table order.
@@ -215,6 +222,16 @@ mod tests {
         assert_eq!(ws.len(), 17);
         assert_eq!(ws.iter().filter(|w| w.suite == Suite::JByteMark).count(), 10);
         assert_eq!(ws.iter().filter(|w| w.suite == Suite::SpecJvm98).count(), 7);
+    }
+
+    /// The identity suites build at `scaled(0.25)`, which must stay the
+    /// integer quarter they used before.
+    #[test]
+    fn quarter_scale_is_the_integer_quarter() {
+        for w in all() {
+            assert_eq!(w.scaled(0.25), (w.default_size / 4).max(4), "{}", w.name);
+        }
+        assert_eq!(all()[0].scaled(0.0), 4);
     }
 
     #[test]

@@ -54,10 +54,6 @@ fn assert_native_identical(m: &Module, target: Target, fuel: u64, args: &[i64], 
     assert_eq!(decoded, native, "{label} [{target:?}, fuel {fuel}]: engines diverged");
 }
 
-fn scaled(size: u32) -> u32 {
-    (size / 4).max(4)
-}
-
 /// All 17 workloads, every target, both compile variants (baseline
 /// keeps every `Extend`; the full algorithm deletes the redundant
 /// ones), native vs decoded — the headline identity the wall-clock
@@ -65,7 +61,7 @@ fn scaled(size: u32) -> u32 {
 #[test]
 fn workloads_run_identically_native_vs_decoded() {
     for w in sxe_workloads::all() {
-        let m = w.build(scaled(w.default_size));
+        let m = w.build(w.scaled(0.25));
         for variant in [Variant::Baseline, Variant::All] {
             let compiled = Compiler::for_variant(variant).try_compile(&m).expect("compiles").module;
             for target in Target::ALL {
@@ -82,7 +78,7 @@ fn workloads_run_identically_native_vs_decoded() {
 fn block_profiles_agree_native_vs_decoded() {
     let w = &sxe_workloads::all()[0];
     let m = Compiler::for_variant(Variant::All)
-        .try_compile(&w.build(scaled(w.default_size)))
+        .try_compile(&w.build(w.scaled(0.25)))
         .expect("compiles")
         .module;
     let mut profiles = Vec::new();
@@ -149,7 +145,7 @@ fn unsupported_functions_fall_back_to_decoded() {
 fn fuel_exhaustion_agrees_on_kind_and_fuel() {
     let w = &sxe_workloads::all()[0];
     let m = Compiler::for_variant(Variant::All)
-        .try_compile(&w.build(scaled(w.default_size)))
+        .try_compile(&w.build(w.scaled(0.25)))
         .expect("compiles")
         .module;
     for fuel in [100, 1_001, 10_007] {

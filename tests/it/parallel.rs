@@ -37,8 +37,7 @@ fn sharded_compile_matches_sequential_on_every_workload() {
     let workloads = sxe_workloads::all();
     assert_eq!(workloads.len(), 17, "the full benchmark suite");
     for w in workloads {
-        let size = ((w.default_size as f64 * 0.05) as u32).max(4);
-        let m = w.build(size);
+        let m = w.build(w.scaled(0.05));
         let seq = fingerprint(&sequential.try_compile(&m).expect("compiles"));
         let par = fingerprint(&sharded.try_compile(&m).expect("compiles"));
         assert_eq!(seq, par, "{}: threads=4 output diverged from sequential", w.name);
@@ -53,8 +52,7 @@ fn sharded_profiled_compile_matches_sequential() {
     let sequential = Compiler::for_variant(Variant::All);
     let sharded = Compiler::builder(Variant::All).threads(4).build();
     for w in sxe_workloads::all().iter().take(5) {
-        let size = ((w.default_size as f64 * 0.05) as u32).max(4);
-        let m = w.build(size);
+        let m = w.build(w.scaled(0.05));
         let seq = fingerprint(&sequential.try_compile_profiled(&m, "main", &[]).expect("compiles"));
         let par = fingerprint(&sharded.try_compile_profiled(&m, "main", &[]).expect("compiles"));
         assert_eq!(seq, par, "{}: profiled sharded compile diverged", w.name);
@@ -67,8 +65,7 @@ fn sharded_profiled_compile_matches_sequential() {
 fn cache_setting_never_changes_output() {
     for threads in [1usize, 4] {
         for w in sxe_workloads::all().iter().take(5) {
-            let size = ((w.default_size as f64 * 0.05) as u32).max(4);
-            let m = w.build(size);
+            let m = w.build(w.scaled(0.05));
             let cached = Compiler::builder(Variant::All)
                 .threads(threads)
                 .cache(true)
@@ -96,7 +93,7 @@ fn cache_setting_never_changes_output() {
 fn batch_results_arrive_in_input_order() {
     let modules: Vec<_> = sxe_workloads::all()
         .iter()
-        .map(|w| w.build(((w.default_size as f64 * 0.05) as u32).max(4)))
+        .map(|w| w.build(w.scaled(0.05)))
         .collect();
     let sequential = Compiler::for_variant(Variant::All)
         .try_compile_batch(&modules)

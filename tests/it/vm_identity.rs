@@ -26,17 +26,13 @@ fn assert_identical(m: &Module, target: Target, fuel: u64, args: &[i64], label: 
     assert_eq!(tree, decoded, "{label} [{target:?}, fuel {fuel}]: engines diverged");
 }
 
-fn scaled(size: u32) -> u32 {
-    (size / 4).max(4)
-}
-
 /// All 17 workloads, all three targets, both compile variants (baseline
 /// keeps plain `Extend` ops; the full algorithm emits the fused
 /// `*Ext` superinstructions), tree vs decoded.
 #[test]
 fn workloads_run_identically_on_both_engines() {
     for w in sxe_workloads::all() {
-        let m = w.build(scaled(w.default_size));
+        let m = w.build(w.scaled(0.25));
         for variant in [Variant::Baseline, Variant::All] {
             let compiled = Compiler::for_variant(variant).try_compile(&m).expect("compiles").module;
             for target in Target::ALL {
@@ -56,7 +52,7 @@ fn fuel_cutoffs_are_bit_identical() {
     let compiler = Compiler::for_variant(Variant::All);
     for w in sxe_workloads::all().into_iter().take(4) {
         let compiled = compiler
-            .try_compile(&w.build(scaled(w.default_size)))
+            .try_compile(&w.build(w.scaled(0.25)))
             .expect("compiles")
             .module;
         for fuel in [0, 1, 2, 3, 4, 5, 7, 11, 100, 1_001, 10_007, 100_003] {
@@ -70,7 +66,7 @@ fn fuel_cutoffs_are_bit_identical() {
 fn block_profiles_agree_between_engines() {
     let w = &sxe_workloads::all()[0];
     let m = Compiler::for_variant(Variant::All)
-        .try_compile(&w.build(scaled(w.default_size)))
+        .try_compile(&w.build(w.scaled(0.25)))
         .expect("compiles")
         .module;
     let mut profiles = Vec::new();
