@@ -14,11 +14,13 @@
 //! * each rewriting pass bumps the function's *generation*
 //!   ([`note_rewrites`](AnalysisCache::note_rewrites) /
 //!   [`invalidate`](AnalysisCache::invalidate)), dropping the facts;
-//! * as a safety net, every query also validates the entry against
-//!   [`Function::fingerprint`], so a pass that forgets to invalidate
-//!   (or a rollback that restores an older body) can never be served
-//!   stale facts — the mismatch is detected and counted as an
-//!   invalidation of its own.
+//! * as a safety net, every query also validates the entry once against
+//!   a snapshot of the body its facts describe — one structural
+//!   comparison, exact to the bit of every float constant — so a pass
+//!   that forgets to invalidate (or a rollback that restores an older
+//!   body) can never be served stale facts: the mismatch is detected
+//!   and counted as an invalidation of its own. The snapshot is cloned
+//!   only when an entry is refreshed after an invalidation.
 //!
 //! The cache is deliberately *not* shared between threads: a sharded
 //! compilation gives each worker its own cache (functions are
@@ -41,7 +43,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sxe_ir::{Cfg, Function};
+use sxe_ir::{Cfg, Function, Inst};
 use sxe_telemetry::Lane;
 
 use crate::liveness::Liveness;
@@ -56,7 +58,7 @@ pub struct CacheStats {
     /// Queries that had to compute.
     pub misses: u64,
     /// Times memoized facts were dropped (explicit, rewrite-noted, or
-    /// fingerprint-detected).
+    /// detected by the snapshot comparison).
     pub invalidations: u64,
 }
 
@@ -72,11 +74,11 @@ impl CacheStats {
 /// Memoized facts for one function.
 #[derive(Debug, Default)]
 struct Entry {
-    /// Bumped on every invalidation (explicit or fingerprint-detected).
+    /// Bumped on every invalidation (explicit or snapshot-detected).
     generation: u64,
-    /// Fingerprint of the function state the facts below describe;
-    /// `None` when the entry holds no valid facts.
-    fingerprint: Option<u64>,
+    /// A copy of the function state the facts below describe; `None`
+    /// when the entry holds no valid facts.
+    snapshot: Option<Function>,
     cfg: Option<Arc<Cfg>>,
     liveness: Option<Arc<Liveness>>,
     udu: Option<Arc<UdDu>>,
@@ -85,10 +87,68 @@ struct Entry {
 impl Entry {
     fn clear(&mut self) {
         self.generation += 1;
-        self.fingerprint = None;
+        self.snapshot = None;
         self.cfg = None;
         self.liveness = None;
         self.udu = None;
+    }
+}
+
+/// Whether `f` is still the body `snapshot` was taken of: same register
+/// high-water mark, signature, blocks and instructions, `nop` tombstones
+/// included (so [`InstId`](sxe_ir::InstId)-keyed facts stay keyed
+/// correctly). The name is the cache key, so it is equal already.
+fn same_body(snapshot: &Function, f: &Function) -> bool {
+    snapshot.reg_count == f.reg_count
+        && snapshot.params == f.params
+        && snapshot.ret == f.ret
+        && snapshot.blocks.len() == f.blocks.len()
+        && snapshot.blocks.iter().zip(&f.blocks).all(|(a, b)| {
+            a.insts.len() == b.insts.len()
+                && a.insts.iter().zip(&b.insts).all(|(x, y)| same_inst(x, y))
+        })
+}
+
+/// Instruction equality with float constants compared bit for bit: a
+/// derived `==` holds no `NaN` equal to itself and `0.0` equal to `-0.0`.
+fn same_inst(a: &Inst, b: &Inst) -> bool {
+    match (a, b) {
+        (Inst::ConstF { dst: da, value: va }, Inst::ConstF { dst: db, value: vb }) => {
+            da == db && va.to_bits() == vb.to_bits()
+        }
+        _ => a == b,
+    }
+}
+
+/// The effectiveness counters and the trace lane, kept apart from the
+/// entries so a query can hold its validated entry while it counts.
+#[derive(Debug, Default)]
+struct Meter {
+    stats: CacheStats,
+    trace: Lane,
+}
+
+impl Meter {
+    /// Serve `slot` (computing and memoizing it on a miss), count the
+    /// outcome, and trace it as one `what` event starting at `start_ns`.
+    fn lookup<T>(
+        &mut self,
+        what: &'static str,
+        start_ns: u64,
+        slot: &mut Option<Arc<T>>,
+        compute: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let hit = slot.is_some();
+        let fact = Arc::clone(slot.get_or_insert_with(|| Arc::new(compute())));
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        if self.trace.is_enabled() {
+            self.trace.complete_since(what, "analysis", start_ns, vec![("hit", hit.into())]);
+        }
+        fact
     }
 }
 
@@ -98,10 +158,7 @@ impl Entry {
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     entries: HashMap<String, Entry>,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    trace: Lane,
+    meter: Meter,
 }
 
 impl AnalysisCache {
@@ -114,43 +171,39 @@ impl AnalysisCache {
     /// Number of queries served from memoized facts.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.meter.stats.hits
     }
 
     /// Number of queries that had to compute.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.meter.stats.misses
     }
 
     /// Number of times memoized facts were dropped, whatever the trigger.
     #[must_use]
     pub fn invalidations(&self) -> u64 {
-        self.invalidations
+        self.meter.stats.invalidations
     }
 
     /// The three effectiveness counters as one mergeable value.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            invalidations: self.invalidations,
-        }
+        self.meter.stats
     }
 
     /// Record every subsequent lookup as a micro-span on `lane` (one
     /// complete event per query, tagged `hit`). The cache starts with a
     /// disabled lane, which costs one branch per query.
     pub fn attach_trace(&mut self, lane: Lane) {
-        self.trace = lane;
+        self.meter.trace = lane;
     }
 
     /// Take the trace lane back (for the driver's deterministic merge),
     /// leaving a disabled one.
     #[must_use]
     pub fn detach_trace(&mut self) -> Lane {
-        std::mem::take(&mut self.trace)
+        std::mem::take(&mut self.meter.trace)
     }
 
     /// Invalidation count ("generation") of `name`: how many times the
@@ -166,7 +219,7 @@ impl AnalysisCache {
     /// [`note_rewrites`](Self::note_rewrites)).
     pub fn invalidate(&mut self, name: &str) {
         self.entries.entry(name.to_string()).or_default().clear();
-        self.invalidations += 1;
+        self.meter.stats.invalidations += 1;
     }
 
     /// Record the outcome of one pass over `name`: `rewrites > 0` bumps
@@ -178,73 +231,47 @@ impl AnalysisCache {
     }
 
     /// Validate (or create) the entry for `f`, dropping facts computed
-    /// for a different function state.
-    fn entry_for(&mut self, f: &Function) -> &mut Entry {
-        let fp = f.fingerprint();
-        let e = self.entries.entry(f.name.clone()).or_default();
-        if e.fingerprint != Some(fp) {
-            if e.fingerprint.is_some() {
-                // Stale facts nobody told us about (e.g. a rollback
-                // restored an older body): invalidate on detection.
-                e.clear();
-                self.invalidations += 1;
+    /// for a different function state. Each public query calls this once
+    /// and does all its lookups on the entry it returns.
+    fn validated(&mut self, f: &Function) -> (&mut Entry, &mut Meter) {
+        if !self.entries.contains_key(&f.name) {
+            self.entries.insert(f.name.clone(), Entry::default());
+        }
+        let e = self.entries.get_mut(&f.name).expect("entry inserted above");
+        match &e.snapshot {
+            Some(snapshot) if same_body(snapshot, f) => {}
+            stale => {
+                if stale.is_some() {
+                    // Stale facts nobody told us about (e.g. a rollback
+                    // restored an older body): invalidate on detection.
+                    e.clear();
+                    self.meter.stats.invalidations += 1;
+                }
+                e.snapshot = Some(f.clone());
             }
-            e.fingerprint = Some(fp);
         }
-        e
-    }
-
-    fn trace_lookup(&mut self, what: &'static str, start_ns: u64, hit: bool) {
-        if self.trace.is_enabled() {
-            self.trace.complete_since(what, "analysis", start_ns, vec![("hit", hit.into())]);
-        }
+        (e, &mut self.meter)
     }
 
     /// The control-flow graph of `f`, memoized.
     pub fn cfg(&mut self, f: &Function) -> Arc<Cfg> {
-        let start = self.trace.now_ns();
-        if let Some(cfg) = self.entry_for(f).cfg.clone() {
-            self.hits += 1;
-            self.trace_lookup("cache.cfg", start, true);
-            return cfg;
-        }
-        let cfg = Arc::new(Cfg::compute(f));
-        self.entry_for(f).cfg = Some(Arc::clone(&cfg));
-        self.misses += 1;
-        self.trace_lookup("cache.cfg", start, false);
-        cfg
+        let start = self.meter.trace.now_ns();
+        let (e, meter) = self.validated(f);
+        meter.lookup("cache.cfg", start, &mut e.cfg, || Cfg::compute(f))
     }
 
     /// Backward liveness of `f`, memoized.
     pub fn liveness(&mut self, f: &Function) -> Arc<Liveness> {
-        let cfg = self.cfg(f);
-        let start = self.trace.now_ns();
-        if let Some(live) = self.entry_for(f).liveness.clone() {
-            self.hits += 1;
-            self.trace_lookup("cache.liveness", start, true);
-            return live;
-        }
-        let live = Arc::new(Liveness::compute(f, &cfg));
-        self.entry_for(f).liveness = Some(Arc::clone(&live));
-        self.misses += 1;
-        self.trace_lookup("cache.liveness", start, false);
-        live
+        let start = self.meter.trace.now_ns();
+        let (e, meter) = self.validated(f);
+        let cfg = meter.lookup("cache.cfg", start, &mut e.cfg, || Cfg::compute(f));
+        let start = meter.trace.now_ns();
+        meter.lookup("cache.liveness", start, &mut e.liveness, || Liveness::compute(f, &cfg))
     }
 
     /// UD/DU chains of `f`, memoized.
     pub fn udu(&mut self, f: &Function) -> Arc<UdDu> {
-        let cfg = self.cfg(f);
-        let start = self.trace.now_ns();
-        if let Some(udu) = self.entry_for(f).udu.clone() {
-            self.hits += 1;
-            self.trace_lookup("cache.udu", start, true);
-            return udu;
-        }
-        let udu = Arc::new(UdDu::compute(f, &cfg));
-        self.entry_for(f).udu = Some(Arc::clone(&udu));
-        self.misses += 1;
-        self.trace_lookup("cache.udu", start, false);
-        udu
+        self.udu_in(f).0
     }
 
     /// UD/DU chains of `f` by value, for consumers that maintain the
@@ -253,17 +280,26 @@ impl AnalysisCache {
     /// consumer is about to mutate `f`, so keeping a copy would only
     /// serve a guaranteed-stale hit.
     pub fn take_udu(&mut self, f: &Function) -> UdDu {
-        let arc = self.udu(f);
-        let e = self.entry_for(f);
+        let (arc, e) = self.udu_in(f);
         e.udu = None;
         Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone())
+    }
+
+    /// The memoized UD/DU chains of `f`, with the entry that holds them.
+    fn udu_in(&mut self, f: &Function) -> (Arc<UdDu>, &mut Entry) {
+        let start = self.meter.trace.now_ns();
+        let (e, meter) = self.validated(f);
+        let cfg = meter.lookup("cache.cfg", start, &mut e.cfg, || Cfg::compute(f));
+        let start = meter.trace.now_ns();
+        let udu = meter.lookup("cache.udu", start, &mut e.udu, || UdDu::compute(f, &cfg));
+        (udu, e)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sxe_ir::{parse_function, BlockId, Inst};
+    use sxe_ir::{parse_function, BlockId, Inst, InstId};
 
     fn sample() -> Function {
         parse_function(
@@ -321,6 +357,70 @@ mod tests {
         assert_eq!(cache.generation("f"), 1, "detected mismatch counts");
     }
 
+    /// Query `f`, rewrite it with `rewrite` without telling the cache,
+    /// and check that the next query recomputes and counts the detection.
+    fn assert_unnotified_rewrite_detected(mut f: Function, rewrite: impl FnOnce(&mut Function)) {
+        let mut cache = AnalysisCache::new();
+        let before = cache.udu(&f);
+        rewrite(&mut f);
+        let misses = cache.misses();
+        let after = cache.udu(&f);
+        assert!(!Arc::ptr_eq(&before, &after), "stale facts never served");
+        assert_eq!(cache.misses(), misses + 2, "cfg and chains recomputed");
+        assert_eq!(cache.generation("f"), 1, "detected mismatch counts");
+    }
+
+    /// `func @f() -> f64` returning one float constant.
+    fn float_sample(value: f64) -> Function {
+        let mut f =
+            parse_function("func @f() -> f64 {\nb0:\n    r0 = constf 1.0\n    ret r0\n}\n").unwrap();
+        set_float(&mut f, value);
+        f
+    }
+
+    fn set_float(f: &mut Function, value: f64) {
+        if let Inst::ConstF { value: v, .. } = f.inst_mut(InstId::new(BlockId(0), 0)) {
+            *v = value;
+        }
+    }
+
+    #[test]
+    fn unnotified_tombstone_is_detected() {
+        assert_unnotified_rewrite_detected(sample(), |f| {
+            f.delete_inst(InstId::new(BlockId(0), 0));
+        });
+    }
+
+    #[test]
+    fn unnotified_compact_is_detected() {
+        let mut f = sample();
+        f.delete_inst(InstId::new(BlockId(0), 0));
+        assert_unnotified_rewrite_detected(f, Function::compact);
+    }
+
+    #[test]
+    fn unnotified_new_reg_is_detected() {
+        assert_unnotified_rewrite_detected(sample(), |f| {
+            f.new_reg();
+        });
+    }
+
+    #[test]
+    fn unnotified_float_sign_flip_is_detected() {
+        assert_unnotified_rewrite_detected(float_sample(0.0), |f| set_float(f, -0.0));
+    }
+
+    #[test]
+    fn nan_constant_hits_on_requery() {
+        let f = float_sample(f64::NAN);
+        let mut cache = AnalysisCache::new();
+        let before = cache.udu(&f);
+        let after = cache.udu(&f);
+        assert!(Arc::ptr_eq(&before, &after), "an unchanged NaN body is served");
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert_eq!(cache.generation("f"), 0);
+    }
+
     #[test]
     fn take_udu_moves_the_chains_out() {
         let f = sample();
@@ -343,7 +443,7 @@ mod tests {
             0,
             Inst::Const { dst: sxe_ir::Reg(1), value: 9, ty: sxe_ir::Ty::I32 },
         );
-        cache.invalidate("f"); // resets the fingerprint too
+        cache.invalidate("f"); // drops the snapshot too
         let _ = cache.cfg(&f);
         let s = cache.stats();
         assert_eq!(s.invalidations, 2);

@@ -256,10 +256,9 @@ impl Function {
     /// A 64-bit structural fingerprint of the function.
     ///
     /// Two calls return the same value iff the textual form (which
-    /// includes `nop` tombstones, so [`InstId`]-keyed analysis facts stay
-    /// keyed correctly) and the register allocation high-water mark are
-    /// unchanged. The analysis cache uses this to detect stale memoized
-    /// facts without being told which pass rewrote what.
+    /// includes `nop` tombstones) and the register allocation high-water
+    /// mark are unchanged. Stable across processes, so persisted artifact
+    /// keys are built from it.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         use std::fmt::Write as _;

@@ -6,10 +6,9 @@
 //! captures everything the compiled text depends on:
 //!
 //! * **the input functions** — folded in as each
-//!   [`Function::fingerprint`] in module order (the same
-//!   structural fingerprint the [`sxe_analysis::AnalysisCache`]
-//!   validates its facts against, extended here from per-function
-//!   analysis facts to whole compiled functions). Because step-2
+//!   [`Function::fingerprint`] in module order (a 64-bit hash of
+//!   each printed body and its register count, stable across
+//!   processes, which is what a persisted key needs). Because step-2
 //!   inlining can splice one function's body into another, a single
 //!   function's compiled form depends on its callees; combining *every*
 //!   function fingerprint makes the key sound in the presence of

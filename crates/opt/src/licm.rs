@@ -23,8 +23,10 @@ pub fn run(f: &mut Function) -> usize {
 }
 
 /// [`run`] drawing the CFG and liveness of each round from a memoized
-/// [`AnalysisCache`]; the nothing-to-hoist round (always the final one)
-/// reuses the previous round's facts instead of recomputing.
+/// [`AnalysisCache`]. Only the first round can be served facts an
+/// earlier pass left valid: every round that hoists notes its rewrites,
+/// so each later round, the final nothing-to-hoist one included,
+/// recomputes both.
 pub fn run_cached(f: &mut Function, cache: &mut AnalysisCache) -> usize {
     let mut total = 0;
     // Each round hoists out of one loop and then recomputes all analyses;

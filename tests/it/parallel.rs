@@ -60,30 +60,29 @@ fn sharded_profiled_compile_matches_sequential() {
 }
 
 /// The analysis cache is invisible in the output, on and off, sequential
-/// and sharded.
+/// and sharded, on every workload and target.
 #[test]
 fn cache_setting_never_changes_output() {
-    for threads in [1usize, 4] {
-        for w in sxe_workloads::all().iter().take(5) {
-            let m = w.build(w.scaled(0.05));
-            let cached = Compiler::builder(Variant::All)
-                .threads(threads)
-                .cache(true)
-                .build()
-                .try_compile(&m)
-                .expect("compiles");
-            let uncached = Compiler::builder(Variant::All)
-                .threads(threads)
-                .cache(false)
-                .build()
-                .try_compile(&m)
-                .expect("compiles");
-            assert_eq!(
-                fingerprint(&cached),
-                fingerprint(&uncached),
-                "{} threads={threads}: cache changed the output",
-                w.name
-            );
+    for target in [Target::Ia64, Target::Ppc64, Target::Mips64] {
+        for threads in [1usize, 4] {
+            for w in sxe_workloads::all() {
+                let m = w.build(w.scaled(0.05));
+                let compile = |cache: bool| {
+                    Compiler::builder(Variant::All)
+                        .target(target)
+                        .threads(threads)
+                        .cache(cache)
+                        .build()
+                        .try_compile(&m)
+                        .expect("compiles")
+                };
+                assert_eq!(
+                    fingerprint(&compile(true)),
+                    fingerprint(&compile(false)),
+                    "{} {target:?} threads={threads}: cache changed the output",
+                    w.name
+                );
+            }
         }
     }
 }
