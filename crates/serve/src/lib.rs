@@ -46,7 +46,7 @@ pub use store::{crash_point_sweep, ArtifactStore, CrashSweepReport, StoreStats};
 #[cfg(test)]
 mod e2e {
     use super::*;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     const SRC: &str = "\
 func @main(i32) -> f64 {
@@ -79,6 +79,64 @@ b2:
         let server = Server::start(0, config).unwrap();
         let client = Client::new(server.port());
         (server, client, dir)
+    }
+
+    /// Run `f` on its own thread and report whether it returned within
+    /// `limit`, so a lost accept wake fails the test instead of hanging
+    /// the suite.
+    fn returns_within(limit: Duration, f: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(limit).is_ok()
+    }
+
+    #[test]
+    fn idle_daemon_shuts_down_without_serving_its_wake() {
+        let (server, client, dir) = start("idle", ServeConfig::default());
+        let tel = server.telemetry();
+        assert_eq!(client.shutdown().unwrap(), 0);
+        assert!(
+            returns_within(Duration::from_secs(10), move || server.wait()),
+            "wait() must return once the shutdown wake reaches the parked accept"
+        );
+        assert_eq!(
+            tel.metrics_snapshot().counter("serve.requests"),
+            1,
+            "the shutdown is the only request; the wake connection is never handled"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn idle_fault_proxy_stops() {
+        // No connection ever reaches the proxy (nor its upstream), so
+        // only the self-connect wake can release its parked accept.
+        let proxy = NetFaultProxy::start(1, NetFaultPlan::from_seed(1)).unwrap();
+        assert!(
+            returns_within(Duration::from_secs(10), move || proxy.stop()),
+            "stop() must return once the wake reaches the parked accept"
+        );
+    }
+
+    #[test]
+    fn sequential_pings_wake_the_daemon_on_connect() {
+        // Every request is a fresh connection, so an accept loop that
+        // polled would add its poll interval to each one: a 5 ms poll
+        // needs about 500 ms here, a ping itself well under 1 ms.
+        let (server, client, dir) = start("pings", ServeConfig::default());
+        client.ping().unwrap();
+        let t0 = Instant::now();
+        for _ in 0..100 {
+            client.ping().unwrap();
+        }
+        let elapsed = t0.elapsed();
+        client.shutdown().unwrap();
+        server.wait();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(elapsed < Duration::from_millis(250), "100 sequential pings took {elapsed:?}");
     }
 
     #[test]

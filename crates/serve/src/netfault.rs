@@ -33,6 +33,7 @@ use std::time::Duration;
 use sxe_ir::rng::XorShift;
 
 use crate::proto::MAX_FRAME;
+use crate::server::{wake_accept, ACCEPT_BACKOFF};
 
 /// One kind of wire-level fault. See each variant for the behavior the
 /// daemon must exhibit under it — every kind resolves to a typed
@@ -146,6 +147,11 @@ const PROXY_IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// [`Client`](crate::client::Client) at [`port`](NetFaultProxy::port)
 /// and every connection through it suffers the plan's fault on its way
 /// to `upstream_port`.
+///
+/// One thread proxies one connection at a time and otherwise blocks in
+/// `accept`; [`stop`](NetFaultProxy::stop) (or drop) wakes it with a
+/// loopback self-connect, as the daemon's shutdown wakes its own
+/// accept loop.
 pub struct NetFaultProxy {
     port: u16,
     stop: Arc<AtomicBool>,
@@ -161,21 +167,24 @@ impl NetFaultProxy {
     /// I/O errors binding the listener.
     pub fn start(upstream_port: u16, plan: NetFaultPlan) -> io::Result<NetFaultProxy> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((client, _)) => {
-                            // Fault application is best-effort by design:
-                            // a peer that hangs up early is part of chaos.
-                            let _ = proxy_conn(client, upstream_port, plan);
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            std::thread::spawn(move || loop {
+                let accepted = listener.accept();
+                // `halt` sets `stop`, then wakes this `accept` with a
+                // self-connect that is dropped here unproxied.
+                if stop.load(Ordering::Acquire) {
+                    return;
+                }
+                match accepted {
+                    Ok((client, _)) => {
+                        // Fault application is best-effort by design:
+                        // a peer that hangs up early is part of chaos.
+                        let _ = proxy_conn(client, upstream_port, plan);
                     }
+                    Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                 }
             })
         };
@@ -196,6 +205,7 @@ impl NetFaultProxy {
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
+            wake_accept(self.port, || t.is_finished());
             let _ = t.join();
         }
     }

@@ -3,10 +3,11 @@
 //!
 //! Threading model:
 //!
-//! * an **accept loop** polls a non-blocking TCP listener (loopback
-//!   only) and spawns one handler thread per connection, each with
-//!   socket read/write timeouts so a stalled peer cannot pin a thread
-//!   forever;
+//! * an **accept loop** blocks in `accept` on a loopback TCP listener
+//!   and spawns one handler thread per connection, each with socket
+//!   read/write timeouts so a stalled peer cannot pin a thread forever.
+//!   Shutdown wakes it with a loopback self-connect, which it drops
+//!   unanswered;
 //! * handlers perform **admission control** inline: a compile request
 //!   either enters the bounded queue or is answered immediately with a
 //!   typed [`Refusal`] carrying a `retry_after_ms` hint — the daemon
@@ -129,9 +130,12 @@ struct Shared {
     tel: Telemetry,
     /// No new compile admissions; drain has begun.
     shutting_down: AtomicBool,
-    /// Drain complete and index persisted; accept loop and dispatcher
-    /// may exit.
+    /// Drain complete and index persisted; the accept loop may exit.
     done: AtomicBool,
+    /// Cleared when the accept loop returns (see [`wake_accept`]).
+    accepting: AtomicBool,
+    /// The listener's port, for the shutdown wake's self-connect.
+    port: u16,
     active_conns: AtomicU64,
 }
 
@@ -156,7 +160,6 @@ impl Server {
     /// I/O errors binding the socket or opening the cache directory.
     pub fn start(port: u16, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
         let port = listener.local_addr()?.port();
         let store = ArtifactStore::open(&config.cache_dir, config.write_delay)?;
         let tel = Telemetry::enabled();
@@ -187,6 +190,8 @@ impl Server {
             tel,
             shutting_down: AtomicBool::new(false),
             done: AtomicBool::new(false),
+            accepting: AtomicBool::new(true),
+            port,
             active_conns: AtomicU64::new(0),
         });
         let accept = {
@@ -230,9 +235,21 @@ impl Server {
     }
 }
 
+/// Backoff after a failed `accept` (e.g. `EMFILE`), so descriptor
+/// exhaustion cannot spin a core.
+pub(crate) const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.done.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked before the connection is touched: the shutdown wake,
+        // or a peer that raced it, is dropped unanswered, as if it had
+        // arrived after the listener closed.
+        if shared.done.load(Ordering::Acquire) {
+            shared.accepting.store(false, Ordering::Release);
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let cap = shared.config.max_connections as u64;
                 if cap > 0 && shared.active_conns.load(Ordering::Acquire) >= cap {
@@ -248,11 +265,31 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     shared.active_conns.fetch_sub(1, Ordering::AcqRel);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
+    }
+}
+
+/// Wake a thread parked in a blocking `accept` on loopback `port`,
+/// after its stop flag is set, by connecting to it; the accept loop
+/// checks the flag first and drops the connection unserved.
+///
+/// One connect can be lost: under descriptor exhaustion `connect`
+/// itself fails while the listener stays parked, and a lost wake would
+/// hang whoever joins the accept thread. So the connect is retried,
+/// with a backoff capped at [`ACCEPT_BACKOFF`], until `finished`
+/// reports the accept loop gone. One connect that succeeds is enough:
+/// the loop returns from its next `accept`, even if it is still busy
+/// with an earlier connection.
+pub(crate) fn wake_accept(port: u16, finished: impl Fn() -> bool) {
+    let mut connected = false;
+    let mut pause = Duration::from_micros(50);
+    while !finished() {
+        if !connected {
+            connected = TcpStream::connect(("127.0.0.1", port)).is_ok();
+        }
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(ACCEPT_BACKOFF);
     }
 }
 
@@ -369,7 +406,13 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
             Request::Compile(req) => handle_compile(shared, req),
             Request::Shutdown => handle_shutdown(shared),
         };
-        if response.write_to(&mut stream).is_err() || stop {
+        let written = response.write_to(&mut stream);
+        if stop {
+            // The ack is out and `done` is set: release the accept loop.
+            wake_accept(shared.port, || !shared.accepting.load(Ordering::Acquire));
+            return;
+        }
+        if written.is_err() {
             return;
         }
     }
@@ -439,7 +482,6 @@ fn handle_shutdown(shared: &Arc<Shared>) -> Response {
         }
     }
     shared.done.store(true, Ordering::Release);
-    shared.cond.notify_all();
     Response::ShutdownAck { drained }
 }
 
@@ -451,17 +493,15 @@ fn dispatch_loop(shared: &Arc<Shared>) {
     loop {
         let batch: Vec<Job> = {
             let mut q = lock_ok(&shared.queue);
+            // No timeout: both states this waits for are notified under
+            // the queue lock after they change (the push in
+            // `handle_compile`, the drain flag in `handle_shutdown`), so
+            // no wake is lost.
             while q.pending.is_empty() {
-                if shared.done.load(Ordering::Acquire)
-                    || (shared.shutting_down.load(Ordering::Acquire) && q.in_flight == 0)
-                {
+                if shared.shutting_down.load(Ordering::Acquire) && q.in_flight == 0 {
                     return;
                 }
-                let (guard, _) = shared
-                    .cond
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
+                q = shared.cond.wait(q).unwrap_or_else(|e| e.into_inner());
             }
             let batch: Vec<Job> = q.pending.drain(..).collect();
             q.in_flight += batch.len();
