@@ -4,14 +4,21 @@
 //! A forward abstract interpretation over [`Interval`]s of the **low 32
 //! bits as `i32`** of every register, with:
 //!
-//! * per-instruction transfer functions shared with the UD-chain
-//!   [`RangeAnalysis`](crate::RangeAnalysis);
+//! * per-instruction transfer functions, with [`binop_range`] for
+//!   binary operations;
 //! * refinement on conditional edges: after `if (i < n)` the true edge
 //!   knows `i <= n.hi - 1` — which is what bounds loop induction
 //!   variables (`for (i = 0; i < n; i++)` gives `i ∈ [0, n-1]` in the
 //!   body);
 //! * widening after a bounded number of visits per block, so the
 //!   fixpoint terminates quickly.
+//!
+//! This is the crate's one range analysis. It carries no extension
+//! facts, so operations that read the *full* register (`div`, `rem`,
+//! `shr`, 64-bit `shru`) produce TOP: their low-32 result depends on
+//! upper bits an interval does not describe, whenever an operand is not
+//! sign-extended at that def. The eliminator, which knows extension
+//! facts, applies [`binop_range`]'s rules for them one def deep.
 //!
 //! Soundness note: intervals describe low-32 values, which no
 //! sign-extension instruction changes — so a state computed once remains
@@ -129,17 +136,6 @@ impl FlowRanges {
     #[must_use]
     pub fn at_block_entry(&self, b: sxe_ir::BlockId, r: Reg) -> Interval {
         self.entry[b.index()][r.index()]
-    }
-
-    /// Intervals in force immediately **before** instruction `index` of
-    /// block `b` (recomputed by walking the block).
-    #[must_use]
-    pub fn before_inst(&self, f: &Function, b: sxe_ir::BlockId, index: usize) -> Vec<Interval> {
-        let mut state = self.entry[b.index()].clone();
-        for inst in f.block(b).insts.iter().take(index) {
-            transfer(inst, &mut state);
-        }
-        state
     }
 
     /// Materialize the per-instruction states of one block:
@@ -286,9 +282,10 @@ fn transfer(inst: &Inst, state: &mut [Interval]) {
             // Div/Rem/Shr (and 64-bit Shru) read the FULL register: their
             // low-32 result depends on upper bits this analysis does not
             // track, so [`binop_range`]'s rules for them are valid only
-            // under an operand-extension guard the flow analysis cannot
-            // provide. Stay conservative here; the guarded consumers in
-            // the eliminator recompute those rules themselves.
+            // when the operands are sign-extended at this def — a fact
+            // the flow analysis cannot provide. Stay at TOP here; the
+            // eliminator applies those rules one def deep, under its own
+            // operand-extension guard.
             use sxe_ir::BinOp;
             let full_register_read = matches!(op, BinOp::Div | BinOp::Rem | BinOp::Shr)
                 || (op == BinOp::Shru && ty == Ty::I64);
@@ -378,13 +375,16 @@ mod tests {
     }
 
     #[test]
-    fn before_inst_walks_the_block() {
+    fn materialize_block_walks_the_block() {
         let (f, fr) = ranges(
             "func @f() -> i32 {\n\
              b0:\n    r0 = const.i32 5\n    r1 = add.i32 r0, r0\n    ret r1\n}\n",
         );
-        let st = fr.before_inst(&f, BlockId(0), 2);
-        assert_eq!(st[1], Interval::constant(10));
+        let st = fr.materialize_block(&f, BlockId(0));
+        assert_eq!(st.len(), 3);
+        assert_eq!(st[0][1], Interval::constant(0));
+        assert_eq!(st[1][0], Interval::constant(5));
+        assert_eq!(st[2][1], Interval::constant(10));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`Liveness`] — classic backward liveness;
 //! * [`AvailableExt`] — flow-sensitive "is this register already
 //!   sign-extended / upper-zero here" facts;
-//! * [`RangeAnalysis`] — demand-driven value ranges for the array-subscript
-//!   theorems (paper §3);
+//! * [`FlowRanges`] — flow-sensitive value ranges ([`Interval`]s, with
+//!   [`binop_range`] as the binary transfer rule) for the array-subscript
+//!   theorems (paper §3), the crate's one range analysis;
 //! * [`Freq`] — execution-frequency estimation for order determination
 //!   (paper §2.2);
 //! * [`AnalysisCache`] — per-function memoization of [`Cfg`](sxe_ir::Cfg),
@@ -48,5 +49,5 @@ pub use facts::{AvailableExt, FactsWalker};
 pub use freq::{Freq, LOOP_MULTIPLIER};
 pub use flowrange::FlowRanges;
 pub use liveness::Liveness;
-pub use range::{binop_range, Interval, RangeAnalysis};
+pub use range::{binop_range, Interval};
 pub use udu::{DefId, DefSite, UdDu, UseKey};

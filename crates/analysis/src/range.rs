@@ -1,23 +1,18 @@
-//! Value-range analysis over UD chains.
+//! Value intervals and the binary-operation transfer rules.
 //!
 //! The paper's array-subscript theorems (§3) "depend on knowledge of the
 //! value range, which can be determined at compile time using one of the
-//! value range analysis techniques [4, 7]". This module provides interval
-//! bounds for the **low 32 bits of a register interpreted as an `i32`** —
-//! exactly the quantity the theorems constrain (`LS(e)`, `0 <= j <=
-//! 0x7fffffff`, `-1 <= i`), since for a sign-extended operand the low-32
-//! value *is* the full value.
+//! value range analysis techniques [4, 7]". An [`Interval`] bounds the
+//! **low 32 bits of a register interpreted as an `i32`** — exactly the
+//! quantity the theorems constrain (`LS(e)`, `0 <= j <= 0x7fffffff`,
+//! `-1 <= i`), since for a sign-extended operand the low-32 value *is*
+//! the full value.
 //!
-//! The analysis is demand-driven: a query recursively walks the UD chains
-//! of the defining instructions with memoization, returning the full
-//! `i32` range on cycles or at a depth limit (always sound).
+//! [`FlowRanges`](crate::FlowRanges) is the one analysis that computes
+//! them; [`binop_range`] is its transfer rule for binary operations, and
+//! the eliminator reuses it for the one rule that needs extension facts.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use sxe_ir::{BinOp, Function, Inst, InstId, Reg, Ty, UnOp};
-
-use crate::udu::{DefId, DefSite, UdDu};
+use sxe_ir::{BinOp, Ty};
 
 /// An inclusive interval of `i32` values (stored as `i64` for convenient
 /// arithmetic).
@@ -100,148 +95,6 @@ impl Interval {
     }
 }
 
-/// Demand-driven range analysis for one function.
-#[derive(Debug)]
-pub struct RangeAnalysis<'a> {
-    f: &'a Function,
-    udu: &'a UdDu,
-    memo: RefCell<HashMap<DefId, Interval>>,
-    in_progress: RefCell<Vec<DefId>>,
-}
-
-const MAX_DEPTH: usize = 64;
-
-impl<'a> RangeAnalysis<'a> {
-    /// Create an analysis bound to a function and its UD/DU chains.
-    #[must_use]
-    pub fn new(f: &'a Function, udu: &'a UdDu) -> RangeAnalysis<'a> {
-        RangeAnalysis {
-            f,
-            udu,
-            memo: RefCell::new(HashMap::new()),
-            in_progress: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Range of the low-32 value of `reg` as used at `inst`: the join over
-    /// all reaching definitions. Returns [`Interval::TOP`] if no
-    /// definition information is available.
-    #[must_use]
-    pub fn range_at(&self, inst: InstId, reg: Reg) -> Interval {
-        let defs = self.udu.defs_reaching(inst, reg);
-        if defs.is_empty() {
-            return Interval::TOP;
-        }
-        let mut acc: Option<Interval> = None;
-        for d in defs {
-            let r = self.range_of_def(d, 0);
-            acc = Some(match acc {
-                None => r,
-                Some(a) => a.join(r),
-            });
-        }
-        acc.unwrap_or(Interval::TOP)
-    }
-
-    /// Range produced by one definition site.
-    #[must_use]
-    pub fn range_of(&self, d: DefId) -> Interval {
-        self.range_of_def(d, 0)
-    }
-
-    fn range_of_def(&self, d: DefId, depth: usize) -> Interval {
-        if depth > MAX_DEPTH {
-            return Interval::TOP;
-        }
-        if let Some(&r) = self.memo.borrow().get(&d) {
-            return r;
-        }
-        if self.in_progress.borrow().contains(&d) {
-            // Cycle through a loop-carried definition: no invariant
-            // reasoning here, so the sound answer is TOP.
-            return Interval::TOP;
-        }
-        self.in_progress.borrow_mut().push(d);
-        let result = match self.udu.site(d) {
-            DefSite::Param(_) => Interval::TOP,
-            DefSite::Inst(id) => self.range_of_inst(id, depth),
-        };
-        self.in_progress.borrow_mut().pop();
-        self.memo.borrow_mut().insert(d, result);
-        result
-    }
-
-    fn operand(&self, id: InstId, r: Reg, depth: usize) -> Interval {
-        let defs = self.udu.defs_reaching(id, r);
-        if defs.is_empty() {
-            return Interval::TOP;
-        }
-        let mut acc: Option<Interval> = None;
-        for d in defs {
-            let rr = self.range_of_def(d, depth + 1);
-            acc = Some(match acc {
-                None => rr,
-                Some(a) => a.join(rr),
-            });
-        }
-        acc.unwrap_or(Interval::TOP)
-    }
-
-    fn range_of_inst(&self, id: InstId, depth: usize) -> Interval {
-        match *self.f.inst(id) {
-            Inst::Const { value, .. } => Interval::constant(value as i32),
-            Inst::Copy { src, ty, .. } if ty != Ty::F64 => self.operand(id, src, depth),
-            // Extensions do not change the low 32 bits for W32; for W8/W16
-            // they bound the result.
-            Inst::Extend { src, from, .. } | Inst::JustExtended { src, from, .. } => {
-                match from.bits() {
-                    32 => self.operand(id, src, depth),
-                    16 => Interval::new(i16::MIN as i64, i16::MAX as i64),
-                    _ => Interval::new(i8::MIN as i64, i8::MAX as i64),
-                }
-            }
-            Inst::Setcc { .. } => Interval::new(0, 1),
-            Inst::ArrayLen { .. } => Interval::new(0, i32::MAX as i64),
-            Inst::ArrayLoad { elem, .. } => match elem {
-                Ty::I8 => Interval::new(i8::MIN as i64, i8::MAX as i64),
-                Ty::I16 => Interval::new(i16::MIN as i64, i16::MAX as i64),
-                _ => Interval::TOP,
-            },
-            Inst::Un { op, src, ty, .. } => match op {
-                UnOp::Zext(w) => match w.bits() {
-                    8 => Interval::new(0, 0xFF),
-                    16 => Interval::new(0, 0xFFFF),
-                    // zext32 leaves the low 32 bits unchanged.
-                    _ => self.operand(id, src, depth),
-                },
-                UnOp::Neg if ty != Ty::F64 => {
-                    let s = self.operand(id, src, depth);
-                    if s.lo == i32::MIN as i64 {
-                        Interval::TOP // -INT_MIN wraps
-                    } else {
-                        Interval::from_checked(-s.hi, -s.lo)
-                    }
-                }
-                UnOp::Not if ty != Ty::F64 => {
-                    let s = self.operand(id, src, depth);
-                    Interval::from_checked(-s.hi - 1, -s.lo - 1)
-                }
-                _ => Interval::TOP,
-            },
-            Inst::Bin { op, ty, lhs, rhs, .. } if ty != Ty::F64 => {
-                let l = self.operand(id, lhs, depth);
-                let r = self.operand(id, rhs, depth);
-                self.bin_range(op, ty, l, r)
-            }
-            _ => Interval::TOP,
-        }
-    }
-
-    fn bin_range(&self, op: BinOp, ty: Ty, l: Interval, r: Interval) -> Interval {
-        binop_range(op, ty, l, r)
-    }
-}
-
 /// Interval transfer function for a binary operation on low-32 values.
 ///
 /// For I64 operations the low 32 bits can wrap arbitrarily relative
@@ -251,11 +104,11 @@ impl<'a> RangeAnalysis<'a> {
 ///
 /// **Contract for full-register ops**: the rules for `Div`, `Rem`, and
 /// `Shr` describe the result only when the machine's *full-register*
-/// inputs equal the low-32 values the intervals bound, i.e. when the
-/// operands are sign-extended. Every consumer in the eliminator checks
-/// that guard (`operand_facts(..).sign_extended`) before trusting these
-/// rules; the unconditional [`crate::FlowRanges`] stays conservative for
-/// them instead.
+/// inputs equal the low-32 values the intervals bound, i.e. when both
+/// operands are sign-extended — at the def itself, not only where the
+/// query starts. [`crate::FlowRanges`] tracks no extension facts and
+/// leaves such a def at TOP; the eliminator applies these rules one def
+/// deep, after `operand_facts` proves that def's operands extended.
 #[must_use]
 pub fn binop_range(op: BinOp, ty: Ty, l: Interval, r: Interval) -> Interval {
     {
@@ -368,117 +221,110 @@ fn fill_ones(mut v: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlowRanges;
     use sxe_ir::{parse_function, BlockId, Cfg};
 
-    fn analyse(src: &str) -> (Function, UdDu) {
+    const I32: Ty = Ty::I32;
+
+    /// Interval of `r` immediately before instruction `i` of block `b`,
+    /// as the flow analysis computes it.
+    fn flow_at(src: &str, b: u32, i: usize, r: u32) -> Interval {
         let f = parse_function(src).unwrap();
-        let cfg = Cfg::compute(&f);
-        let udu = UdDu::compute(&f, &cfg);
-        (f, udu)
+        let flow = FlowRanges::compute(&f, &Cfg::compute(&f));
+        flow.materialize_block(&f, BlockId(b))[i][r as usize]
     }
 
     #[test]
     fn constants_and_masks() {
-        let (f, udu) = analyse(
-            "func @f(i32) -> i32 {\n\
-             b0:\n    r1 = const.i32 268435455\n    r2 = and.i32 r0, r1\n    ret r2\n}\n",
-        );
-        let ra = RangeAnalysis::new(&f, &udu);
-        // The and-result at the ret: [0, 0x0fffffff] — paper Figure 3 (6).
-        let r = ra.range_at(InstId::new(BlockId(0), 2), Reg(2));
+        // x & 0x0fffffff with x unknown: [0, 0x0fffffff] — paper Figure 3 (6).
+        let r = binop_range(BinOp::And, I32, Interval::TOP, Interval::constant(0x0FFF_FFFF));
         assert_eq!(r, Interval::new(0, 0x0FFF_FFFF));
         assert!(r.is_nonneg());
+        let masked = flow_at(
+            "func @f(i32) -> i32 {\n\
+             b0:\n    r1 = const.i32 268435455\n    r2 = and.i32 r0, r1\n    ret r2\n}\n",
+            0,
+            2,
+            2,
+        );
+        assert_eq!(masked, r);
     }
 
     #[test]
     fn add_of_bounded_values() {
-        let (f, udu) = analyse(
-            "func @f() -> i32 {\n\
-             b0:\n    r0 = const.i32 10\n    r1 = const.i32 -3\n    r2 = add.i32 r0, r1\n    ret r2\n}\n",
-        );
-        let ra = RangeAnalysis::new(&f, &udu);
-        assert_eq!(ra.range_at(InstId::new(BlockId(0), 3), Reg(2)), Interval::constant(7));
+        let r = binop_range(BinOp::Add, I32, Interval::constant(10), Interval::constant(-3));
+        assert_eq!(r, Interval::constant(7));
     }
 
     #[test]
     fn overflow_goes_top() {
-        let (f, udu) = analyse(
-            "func @f() -> i32 {\n\
-             b0:\n    r0 = const.i32 2147483647\n    r1 = const.i32 1\n    r2 = add.i32 r0, r1\n    ret r2\n}\n",
-        );
-        let ra = RangeAnalysis::new(&f, &udu);
-        assert!(ra.range_at(InstId::new(BlockId(0), 3), Reg(2)).is_top());
+        let max = Interval::constant(i32::MAX);
+        assert!(binop_range(BinOp::Add, I32, max, Interval::constant(1)).is_top());
+        assert!(binop_range(BinOp::Mul, I32, max, Interval::constant(2)).is_top());
+        assert!(binop_range(BinOp::Sub, I32, Interval::constant(i32::MIN), Interval::constant(1))
+            .is_top());
     }
 
     #[test]
     fn loop_carried_is_top_but_mask_recovers() {
-        // i decremented in a loop: top; but i & 0xff after: [0, 255].
-        let (f, udu) = analyse(
-            "func @f(i32) -> i32 {\n\
+        // i decremented in a loop from an unknown start: top; but
+        // i & 0xff after: [0, 255].
+        let src = "func @f(i32) -> i32 {\n\
              b0:\n    br b1\n\
              b1:\n    r1 = const.i32 1\n    r0 = sub.i32 r0, r1\n    r2 = const.i32 255\n    r3 = and.i32 r0, r2\n    condbr gt.i32 r0, r1, b1, b2\n\
-             b2:\n    ret r3\n}\n",
-        );
-        let ra = RangeAnalysis::new(&f, &udu);
-        assert!(ra.range_at(InstId::new(BlockId(1), 4), Reg(0)).is_top());
-        assert_eq!(
-            ra.range_at(InstId::new(BlockId(2), 0), Reg(3)),
-            Interval::new(0, 255)
-        );
+             b2:\n    ret r3\n}\n";
+        assert!(flow_at(src, 1, 4, 0).is_top());
+        assert_eq!(flow_at(src, 2, 0, 3), Interval::new(0, 255));
     }
 
     #[test]
     fn join_over_two_defs() {
-        let (f, udu) = analyse(
-            "func @f(i32) -> i32 {\n\
+        let src = "func @f(i32) -> i32 {\n\
              b0:\n    r1 = const.i32 5\n    condbr gt.i32 r0, r1, b1, b2\n\
              b1:\n    r2 = const.i32 10\n    br b3\n\
              b2:\n    r2 = const.i32 -4\n    br b3\n\
-             b3:\n    ret r2\n}\n",
-        );
-        let ra = RangeAnalysis::new(&f, &udu);
-        assert_eq!(
-            ra.range_at(InstId::new(BlockId(3), 0), Reg(2)),
-            Interval::new(-4, 10)
-        );
+             b3:\n    ret r2\n}\n";
+        assert_eq!(flow_at(src, 3, 0, 2), Interval::new(-4, 10));
     }
 
     #[test]
     fn shifts_and_div() {
-        let (f, udu) = analyse(
-            "func @f(i32) -> i32 {\n\
-             b0:\n    r1 = const.i32 255\n    r2 = and.i32 r0, r1\n    r3 = const.i32 2\n    r4 = shl.i32 r2, r3\n    r5 = div.i32 r4, r3\n    r6 = shru.i32 r5, r3\n    ret r6\n}\n",
-        );
-        let ra = RangeAnalysis::new(&f, &udu);
-        let at = |i: usize, r: u32| ra.range_at(InstId::new(BlockId(0), i), Reg(r));
-        assert_eq!(at(3, 2), Interval::new(0, 255));
-        assert_eq!(at(4, 4), Interval::new(0, 1020));
-        assert_eq!(at(5, 5), Interval::new(0, 510));
-        assert_eq!(at(6, 6), Interval::new(0, 127));
+        // ((x & 255) << 2) / 2 >>> 2, one rule at a time.
+        let c2 = Interval::constant(2);
+        let masked = binop_range(BinOp::And, I32, Interval::TOP, Interval::constant(255));
+        assert_eq!(masked, Interval::new(0, 255));
+        let shl = binop_range(BinOp::Shl, I32, masked, c2);
+        assert_eq!(shl, Interval::new(0, 1020));
+        let div = binop_range(BinOp::Div, I32, shl, c2);
+        assert_eq!(div, Interval::new(0, 510));
+        assert_eq!(binop_range(BinOp::Shru, I32, div, c2), Interval::new(0, 127));
+        assert_eq!(binop_range(BinOp::Shr, I32, Interval::new(-8, 8), c2), Interval::new(-2, 2));
+        let rem = binop_range(BinOp::Rem, I32, Interval::TOP, Interval::constant(10));
+        assert_eq!(rem, Interval::new(-9, 9));
+        // A non-constant or non-positive divisor gives no bound.
+        assert!(binop_range(BinOp::Div, I32, shl, Interval::new(1, 2)).is_top());
+        assert!(binop_range(BinOp::Div, I32, shl, Interval::constant(-1)).is_top());
     }
 
     #[test]
     fn setcc_len_and_byte_load() {
-        let (f, udu) = analyse(
-            "func @f(i32) -> i32 {\n\
-             b0:\n    r1 = newarray.i8 r0\n    r2 = len r1\n    r3 = aload.i8 r1, r0\n    r4 = set.lt.i32 r2, r3\n    ret r4\n}\n",
-        );
-        let ra = RangeAnalysis::new(&f, &udu);
-        let at = |i: usize, r: u32| ra.range_at(InstId::new(BlockId(0), i), Reg(r));
-        assert_eq!(at(3, 2), Interval::new(0, i32::MAX as i64));
-        assert_eq!(at(3, 3), Interval::new(-128, 127));
-        assert_eq!(at(4, 4), Interval::new(0, 1));
+        let src = "func @f(i32) -> i32 {\n\
+             b0:\n    r1 = newarray.i8 r0\n    r2 = len r1\n    r3 = aload.i8 r1, r0\n    r4 = set.lt.i32 r2, r3\n    ret r4\n}\n";
+        assert_eq!(flow_at(src, 0, 3, 2), Interval::new(0, i32::MAX as i64));
+        assert_eq!(flow_at(src, 0, 3, 3), Interval::new(-128, 127));
+        assert_eq!(flow_at(src, 0, 4, 4), Interval::new(0, 1));
     }
 
     #[test]
     fn negative_constant_for_countdown() {
         // The Theorem 4 countdown case: j = const -1 has range [-1, -1].
-        let (f, udu) = analyse(
+        let r = flow_at(
             "func @f(i32) -> i32 {\n\
              b0:\n    r1 = const.i32 -1\n    r2 = add.i32 r0, r1\n    ret r2\n}\n",
+            0,
+            1,
+            1,
         );
-        let ra = RangeAnalysis::new(&f, &udu);
-        let r = ra.range_at(InstId::new(BlockId(0), 1), Reg(1));
         assert_eq!(r, Interval::constant(-1));
         assert!(r.within(-1, 0x7FFF_FFFF));
     }

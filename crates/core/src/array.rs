@@ -157,7 +157,7 @@ mod tests {
     use sxe_analysis::UdDu;
     use sxe_ir::{parse_function, Cfg, Function, Target};
 
-    use crate::eliminate::{remove_dummies, run_elimination, ElimConfig, ElimResult};
+    use crate::eliminate::{remove_dummies, run_elimination_budgeted, ElimConfig, ElimResult};
 
     fn eliminate(src: &str, max_array_len: u32) -> (Function, ElimResult) {
         let mut f = parse_function(src).unwrap();
@@ -169,7 +169,14 @@ mod tests {
         let config =
             ElimConfig { target: Target::Ia64, array_analysis: true, max_array_len };
         let flow = sxe_analysis::FlowRanges::compute(&f, &cfg);
-        let res = run_elimination(&mut f, &mut udu, &order, &config, &flow);
+        let res = run_elimination_budgeted(
+            &mut f,
+            &mut udu,
+            &order,
+            &config,
+            &flow,
+            &sxe_ir::Budget::unlimited(),
+        );
         remove_dummies(&mut f, &mut udu);
         f.compact();
         (f, res)

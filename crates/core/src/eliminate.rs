@@ -19,9 +19,9 @@
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
-use sxe_analysis::{DefId, DefSite, FlowRanges, Interval, RangeAnalysis, UdDu};
+use sxe_analysis::{binop_range, DefId, DefSite, FlowRanges, Interval, UdDu};
 use sxe_ir::semantics::{def_facts, param_facts, use_kind_of};
-use sxe_ir::{ExtFacts, Function, Inst, InstId, Reg, Target, UseKind, Width};
+use sxe_ir::{BinOp, ExtFacts, Function, Inst, InstId, Reg, Target, Ty, UseKind, Width};
 
 /// Configuration for the elimination phase.
 #[derive(Debug, Clone, Copy)]
@@ -52,21 +52,12 @@ pub struct ElimResult {
 /// determination is on) and eliminate each one that the chains prove
 /// redundant. Chains are maintained incrementally as extensions are
 /// deleted.
-pub fn run_elimination(
-    f: &mut Function,
-    udu: &mut UdDu,
-    order: &[InstId],
-    config: &ElimConfig,
-    flow: &FlowRanges,
-) -> ElimResult {
-    run_elimination_budgeted(f, udu, order, config, flow, &sxe_ir::Budget::unlimited())
-}
-
-/// [`run_elimination`] under a compile budget: one fuel unit is spent per
-/// examined extension, and an exhausted budget stops the loop early
-/// rather than aborting — every extension already processed stays
-/// eliminated, the rest simply remain (salvage, don't abort). Processing
-/// hottest-first means the budget is spent where it pays.
+///
+/// One fuel unit of `budget` is spent per examined extension, and an
+/// exhausted budget stops the loop early rather than aborting — every
+/// extension already processed stays eliminated, the rest simply remain
+/// (salvage, don't abort). Processing hottest-first means the budget is
+/// spent where it pays.
 pub fn run_elimination_budgeted(
     f: &mut Function,
     udu: &mut UdDu,
@@ -91,11 +82,8 @@ pub fn run_elimination_budgeted(
         };
         result.examined += 1;
         let mut via_array = false;
-        let eliminable = {
-            let ra = RangeAnalysis::new(f, udu);
-            let mut ctx = Analysis::new(f, udu, &ra, &flow_states, config, from);
-            ctx.eliminate_one(ext_id, dst, src, &mut via_array)
-        };
+        let eliminable = Analysis::new(f, udu, &flow_states, config, from)
+            .eliminate_one(ext_id, dst, src, &mut via_array);
         if eliminable {
             if dst == src {
                 udu.remove_transparent_def(f, ext_id);
@@ -196,7 +184,6 @@ impl<'a> LazyFlowStates<'a> {
 pub(crate) struct Analysis<'a> {
     pub(crate) f: &'a Function,
     pub(crate) udu: &'a UdDu,
-    pub(crate) ra: &'a RangeAnalysis<'a>,
     flow_states: &'a LazyFlowStates<'a>,
     pub(crate) target: Target,
     pub(crate) width: Width,
@@ -222,7 +209,6 @@ impl<'a> Analysis<'a> {
     pub(crate) fn new(
         f: &'a Function,
         udu: &'a UdDu,
-        ra: &'a RangeAnalysis<'a>,
         flow_states: &'a LazyFlowStates<'a>,
         config: &ElimConfig,
         width: Width,
@@ -230,7 +216,6 @@ impl<'a> Analysis<'a> {
         Analysis {
             f,
             udu,
-            ra,
             flow_states,
             target: config.target,
             width,
@@ -378,9 +363,8 @@ impl<'a> Analysis<'a> {
         let Inst::Bin { op, ty, lhs, rhs, .. } = *self.f.inst(id) else {
             return facts;
         };
-        use sxe_ir::BinOp;
-        let eligible = ty != sxe_ir::Ty::F64
-            && ty != sxe_ir::Ty::I64
+        let eligible = ty != Ty::F64
+            && ty != Ty::I64
             && matches!(
                 op,
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Shl
@@ -395,24 +379,59 @@ impl<'a> Analysis<'a> {
         }
         // A non-TOP interval certifies the exact result fits in i32 (the
         // transfer functions return TOP whenever a wrap is possible).
-        // Combine the UD-chain view with flow-sensitive operand intervals.
-        let rl = self.range_at(id, lhs);
-        let rr = self.range_at(id, rhs);
-        let range = self
-            .ra
-            .range_of(d)
-            .intersect(sxe_analysis::binop_range(op, ty, rl, rr));
+        let range = binop_range(op, ty, self.range_at(id, lhs), self.range_at(id, rhs));
         if range.is_top() {
             return facts;
         }
         ExtFacts { sign_extended: true, upper_zero: range.is_nonneg() }
     }
 
-    /// Combined value range of `r` at `id`: the UD-chain join intersected
-    /// with the flow-sensitive interval (branch-refined) in force there.
+    /// Value range of `r` at `id`: the flow-sensitive interval in force
+    /// there, tightened by [`Self::full_register_def_range`].
     pub(crate) fn range_at(&mut self, id: InstId, r: Reg) -> Interval {
-        let ud = self.ra.range_at(id, r);
-        ud.intersect(self.flow_range_at(id, r))
+        let flow = self.flow_range_at(id, r);
+        match self.full_register_def_range(id, r) {
+            Some(bound) => flow.intersect(bound),
+            None => flow,
+        }
+    }
+
+    /// The one range rule [`FlowRanges`] cannot apply. A narrow `div`,
+    /// `rem` or `shr` reads the full register, so [`binop_range`]'s rule
+    /// for it bounds the result only when both operands are
+    /// sign-extended; the flow analysis has no extension facts and leaves
+    /// such a def at TOP. When every def of `r` reaching `id` is such an
+    /// op with operands `operand_facts` proves extended, this joins the
+    /// rule over the operands' flow ranges at each def.
+    ///
+    /// It looks exactly one def deep: the operand ranges are flow ranges,
+    /// never this rule again. `operand_facts` treats the extension under
+    /// analysis as already gone, so the guard still holds once it is
+    /// deleted.
+    fn full_register_def_range(&mut self, id: InstId, r: Reg) -> Option<Interval> {
+        let defs = self.udu.defs_reaching(id, r);
+        let mut acc: Option<Interval> = None;
+        for d in defs {
+            let DefSite::Inst(def_id) = self.udu.site(d) else { return None };
+            let Inst::Bin { op, ty, lhs, rhs, .. } = *self.f.inst(def_id) else {
+                return None;
+            };
+            if !matches!(op, BinOp::Div | BinOp::Rem | BinOp::Shr)
+                || !matches!(ty, Ty::I8 | Ty::I16 | Ty::I32)
+                || !self.operand_facts(def_id, lhs).sign_extended
+                || !self.operand_facts(def_id, rhs).sign_extended
+            {
+                return None;
+            }
+            let v = binop_range(
+                op,
+                ty,
+                self.flow_range_at(def_id, lhs),
+                self.flow_range_at(def_id, rhs),
+            );
+            acc = Some(acc.map_or(v, |a| a.join(v)));
+        }
+        acc
     }
 
     fn flow_range_at(&self, id: InstId, r: Reg) -> Interval {
@@ -452,7 +471,14 @@ mod tests {
             max_array_len: 0x7fff_ffff,
         };
         let flow = sxe_analysis::FlowRanges::compute(&f, &cfg);
-        let res = run_elimination(&mut f, &mut udu, &order, &config, &flow);
+        let res = run_elimination_budgeted(
+            &mut f,
+            &mut udu,
+            &order,
+            &config,
+            &flow,
+            &sxe_ir::Budget::unlimited(),
+        );
         remove_dummies(&mut f, &mut udu);
         f.compact();
         (f, res)
@@ -572,5 +598,77 @@ mod tests {
         assert!(!f
             .insts()
             .any(|(_, i)| matches!(i, Inst::JustExtended { .. })));
+    }
+
+    /// `r4 = op r2, 8`, then `r6 = add r4', c` with `r4'` either `r4`
+    /// itself or, with `mask`, `r4 & 0x7fffffff`; the extension of `r6`
+    /// before `i32tof64` goes only if that add provably cannot wrap.
+    /// `prelude` defines `r2` on the paths into `b3`.
+    fn full_register_src(prelude: &str, op: &str, mask: bool, c: i32) -> String {
+        let mask = if mask { "    r8 = const.i32 2147483647\n    r4 = and.i32 r4, r8\n" } else { "" };
+        format!(
+            "func @f(i32) -> f64 {{\n{prelude}\
+             b3:\n    r3 = const.i32 8\n    r4 = {op}.i32 r2, r3\n    r5 = const.i32 {c}\n\
+             {mask}    r6 = add.i32 r4, r5\n    r6 = extend.32 r6\n    \
+             r7 = i32tof64.f64 r6\n    ret r7\n}}\n"
+        )
+    }
+
+    /// `r2` is defined by `a` on one path into `b3` and by `b` on the
+    /// other.
+    fn diamond(a: &str, b: &str) -> String {
+        format!(
+            "b0:\n    r1 = const.i32 0\n    condbr gt.i32 r0, r1, b1, b2\n\
+             b1:\n    r2 = {a}\n    br b3\n\
+             b2:\n    r2 = {b}\n    br b3\n"
+        )
+    }
+
+    /// [`Analysis::range_at`] for the shift result `r4` at the add in
+    /// `b3` (instruction 3), asked directly, without the eliminator's
+    /// own extension checks on `r4`.
+    fn shift_range(src: &str) -> Interval {
+        let f = parse_function(src).unwrap();
+        let cfg = Cfg::compute(&f);
+        let udu = UdDu::compute(&f, &cfg);
+        let flow = FlowRanges::compute(&f, &cfg);
+        let states = LazyFlowStates::new(f.blocks.len(), &flow, true);
+        let config =
+            ElimConfig { target: Target::Ia64, array_analysis: true, max_array_len: 0x7fff_ffff };
+        Analysis::new(&f, &udu, &states, &config, Width::W32)
+            .range_at(InstId::new(BlockId(3), 3), Reg(4))
+    }
+
+    #[test]
+    fn full_register_ops_of_extended_operands_are_bounded() {
+        // rem of a parameter by 8: [-7, 7], so adding i32::MAX - 7 cannot
+        // wrap. shr of the join {4, 5} by 8: 0, so adding i32::MAX
+        // cannot either.
+        let param = diamond("copy.i32 r0", "copy.i32 r0");
+        let rem = full_register_src(&param, "rem", false, i32::MAX - 7);
+        let shr = full_register_src(&diamond("const.i32 5", "const.i32 4"), "shr", false, i32::MAX);
+        assert_eq!(shift_range(&shr), Interval::constant(0));
+        for src in [rem, shr] {
+            let (f, res) = eliminate_all(&src, true);
+            assert_eq!(res.eliminated, 1, "{src}");
+            assert_eq!(f.count_extends(None), 0);
+            // The bound is a value range, which only the array feature uses.
+            assert_eq!(eliminate_all(&src, false).1.eliminated, 0, "{src}");
+        }
+    }
+
+    #[test]
+    fn full_register_op_of_a_non_canonical_join_is_unbounded() {
+        // The same shr over i64 constants whose upper word is 0xff: the
+        // low words are still {5, 4}, but the shift brings the upper word
+        // down, so nothing bounds the result.
+        let join = diamond("const.i64 1095216660485", "const.i64 1095216660484");
+        assert!(shift_range(&full_register_src(&join, "shr", false, i32::MAX)).is_top());
+        // Masked, the shift result is sign-extended and non-negative, but
+        // its range is not 0: at run time the masked value is 0x7f000000,
+        // and adding i32::MAX wraps. The extension stays.
+        let (f, res) = eliminate_all(&full_register_src(&join, "shr", true, i32::MAX), true);
+        assert_eq!(res.eliminated, 0);
+        assert_eq!(f.count_extends(None), 1);
     }
 }

@@ -9,7 +9,8 @@ use sxe_analysis::{AvailableExt, FlowRanges, Freq, UdDu};
 use sxe_core::Variant;
 use sxe_ir::{Cfg, DomTree, LoopForest, Reg, Target, Width};
 use sxe_jit::Compiler;
-use sxe_vm::Vm;
+use sxe_vm::oracle::observe;
+use sxe_vm::{Engine, Vm};
 use xelim_integration_tests::gen;
 
 const FUEL: u64 = 500_000;
@@ -159,6 +160,52 @@ fn profile_counts_match_execution() {
             if loops.depth(b) > 0 && fr.of(b) > 0.0 {
                 assert!(fr.of(b) >= 1.0);
             }
+        }
+    }
+}
+
+/// `shr.i32` reads the whole register. On both paths into `b3` the
+/// shifted value is a 64-bit constant whose upper word is not the sign
+/// of its low word, so nothing bounds the shift's result by its low-32
+/// operand: the array-theorem variants must keep the extension the
+/// `add` needs before `i32tof64`, and return what the baseline returns.
+const FULL_REGISTER_SHR: &str = "\
+func @main() -> f64 {
+b0:
+    r7 = const.i32 1
+    r8 = newarray.i32 r7
+    r9 = const.i32 0
+    r11 = aload.i32 r8, r9
+    condbr gt.i32 r11, r9, b1, b2
+b1:
+    r0 = const.i64 1095216660485
+    br b3
+b2:
+    r0 = const.i64 1095216660484
+    br b3
+b3:
+    r1 = const.i32 8
+    r2 = shr.i32 r0, r1
+    r3 = const.i32 2147483647
+    r4 = and.i32 r2, r3
+    r5 = add.i32 r4, r3
+    r6 = i32tof64.f64 r5
+    ret r6
+}
+";
+
+#[test]
+fn full_register_shift_of_a_non_canonical_join_keeps_its_extension() {
+    let m = sxe_ir::parse_module(FULL_REGISTER_SHR).expect("parses");
+    for target in Target::ALL {
+        let result = |variant: Variant| {
+            let compiler = Compiler::builder(variant).target(target).build();
+            let compiled = compiler.try_compile(&m).expect("compiles");
+            observe(&compiled.module, target, Engine::Decoded, FUEL, "main", &[]).result
+        };
+        let baseline = result(Variant::Baseline);
+        for variant in [Variant::Array, Variant::All] {
+            assert_eq!(result(variant), baseline, "{variant} on {target}");
         }
     }
 }
