@@ -1,5 +1,5 @@
-//! Memoized per-function analysis facts with generation-based
-//! invalidation.
+//! Memoized per-function analysis facts, validated against a snapshot
+//! of the body they describe.
 //!
 //! The compilation pipeline recomputes [`Cfg`], [`Liveness`], and UD/DU
 //! chains over and over: every fixpoint round of the general optimizer
@@ -11,16 +11,17 @@
 //! * a query ([`cfg`](AnalysisCache::cfg), [`liveness`](AnalysisCache::liveness),
 //!   [`udu`](AnalysisCache::udu)) returns the memoized fact when the
 //!   function is unchanged, and recomputes (then re-memoizes) otherwise;
-//! * each rewriting pass bumps the function's *generation*
-//!   ([`note_rewrites`](AnalysisCache::note_rewrites) /
-//!   [`invalidate`](AnalysisCache::invalidate)), dropping the facts;
-//! * as a safety net, every query also validates the entry once against
-//!   a snapshot of the body its facts describe — one structural
-//!   comparison, exact to the bit of every float constant — so a pass
-//!   that forgets to invalidate (or a rollback that restores an older
-//!   body) can never be served stale facts: the mismatch is detected
-//!   and counted as an invalidation of its own. The snapshot is cloned
-//!   only when an entry is refreshed after an invalidation.
+//! * "unchanged" has one definition: every query validates the entry
+//!   once against a snapshot of the body its facts describe — one
+//!   structural comparison, exact to the bit of every float constant.
+//!   A mismatch (a pass rewrote the body, or a rollback restored an
+//!   older one) drops the facts and counts an invalidation. Rewriting
+//!   passes therefore tell the cache nothing. The snapshot is cloned
+//!   only when an entry is refreshed.
+//!
+//! A [`disabled`](AnalysisCache::disabled) cache is a pass-through: it
+//! computes every query, counts a miss, and stores nothing, so the
+//! pipeline has one analysis path whether memoization is on or off.
 //!
 //! The cache is deliberately *not* shared between threads: a sharded
 //! compilation gives each worker its own cache (functions are
@@ -57,8 +58,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Queries that had to compute.
     pub misses: u64,
-    /// Times memoized facts were dropped (explicit, rewrite-noted, or
-    /// detected by the snapshot comparison).
+    /// Stale entries found by the snapshot comparison and dropped.
     pub invalidations: u64,
 }
 
@@ -74,24 +74,12 @@ impl CacheStats {
 /// Memoized facts for one function.
 #[derive(Debug, Default)]
 struct Entry {
-    /// Bumped on every invalidation (explicit or snapshot-detected).
-    generation: u64,
     /// A copy of the function state the facts below describe; `None`
     /// when the entry holds no valid facts.
     snapshot: Option<Function>,
     cfg: Option<Arc<Cfg>>,
     liveness: Option<Arc<Liveness>>,
     udu: Option<Arc<UdDu>>,
-}
-
-impl Entry {
-    fn clear(&mut self) {
-        self.generation += 1;
-        self.snapshot = None;
-        self.cfg = None;
-        self.liveness = None;
-        self.udu = None;
-    }
 }
 
 /// Whether `f` is still the body `snapshot` was taken of: same register
@@ -150,15 +138,29 @@ impl Meter {
         }
         fact
     }
+
+    /// The CFG of `f` from `e`.
+    fn cfg(&mut self, f: &Function, e: &mut Entry, start_ns: u64) -> Arc<Cfg> {
+        self.lookup("cache.cfg", start_ns, &mut e.cfg, || Cfg::compute(f))
+    }
+
+    /// The UD/DU chains of `f` from `e`, through its CFG.
+    fn udu(&mut self, f: &Function, e: &mut Entry, start_ns: u64) -> Arc<UdDu> {
+        let cfg = self.cfg(f, e, start_ns);
+        let start = self.trace.now_ns();
+        self.lookup("cache.udu", start, &mut e.udu, || UdDu::compute(f, &cfg))
+    }
 }
 
 /// A per-compilation memo of [`Cfg`], [`Liveness`], and [`UdDu`] facts,
 /// keyed by function name. See the [module docs](self) for the
-/// invalidation contract.
+/// staleness rule.
 #[derive(Debug, Default)]
 pub struct AnalysisCache {
     entries: HashMap<String, Entry>,
     meter: Meter,
+    /// A pass-through cache: compute every query, memoize nothing.
+    disabled: bool,
 }
 
 impl AnalysisCache {
@@ -166,6 +168,14 @@ impl AnalysisCache {
     #[must_use]
     pub fn new() -> AnalysisCache {
         AnalysisCache::default()
+    }
+
+    /// A pass-through cache: every query computes its fact and counts a
+    /// miss, and nothing is stored or snapshotted. What a compile with
+    /// the cache turned off runs on, so that it takes the same path.
+    #[must_use]
+    pub fn disabled() -> AnalysisCache {
+        AnalysisCache { disabled: true, ..AnalysisCache::default() }
     }
 
     /// Number of queries served from memoized facts.
@@ -180,7 +190,7 @@ impl AnalysisCache {
         self.meter.stats.misses
     }
 
-    /// Number of times memoized facts were dropped, whatever the trigger.
+    /// Number of stale entries the snapshot comparison dropped.
     #[must_use]
     pub fn invalidations(&self) -> u64 {
         self.meter.stats.invalidations
@@ -206,34 +216,18 @@ impl AnalysisCache {
         std::mem::take(&mut self.meter.trace)
     }
 
-    /// Invalidation count ("generation") of `name`: how many times the
-    /// memoized facts for that function have been dropped. Zero for a
-    /// function never invalidated (or never seen).
-    #[must_use]
-    pub fn generation(&self, name: &str) -> u64 {
-        self.entries.get(name).map_or(0, |e| e.generation)
-    }
-
-    /// Drop all memoized facts for `name` and bump its generation. Call
-    /// after rewriting the function (rewriting passes do this via
-    /// [`note_rewrites`](Self::note_rewrites)).
-    pub fn invalidate(&mut self, name: &str) {
-        self.entries.entry(name.to_string()).or_default().clear();
-        self.meter.stats.invalidations += 1;
-    }
-
-    /// Record the outcome of one pass over `name`: `rewrites > 0` bumps
-    /// the generation and drops the facts; a clean pass keeps them.
-    pub fn note_rewrites(&mut self, name: &str, rewrites: usize) {
-        if rewrites > 0 {
-            self.invalidate(name);
+    /// Run `query` on the entry for `f`, validated against its snapshot
+    /// (facts computed for a different body are dropped first). A
+    /// pass-through cache hands it an empty entry that is dropped
+    /// afterwards.
+    fn with_entry<R>(
+        &mut self,
+        f: &Function,
+        query: impl FnOnce(&mut Entry, &mut Meter) -> R,
+    ) -> R {
+        if self.disabled {
+            return query(&mut Entry::default(), &mut self.meter);
         }
-    }
-
-    /// Validate (or create) the entry for `f`, dropping facts computed
-    /// for a different function state. Each public query calls this once
-    /// and does all its lookups on the entry it returns.
-    fn validated(&mut self, f: &Function) -> (&mut Entry, &mut Meter) {
         if !self.entries.contains_key(&f.name) {
             self.entries.insert(f.name.clone(), Entry::default());
         }
@@ -242,36 +236,35 @@ impl AnalysisCache {
             Some(snapshot) if same_body(snapshot, f) => {}
             stale => {
                 if stale.is_some() {
-                    // Stale facts nobody told us about (e.g. a rollback
-                    // restored an older body): invalidate on detection.
-                    e.clear();
+                    *e = Entry::default();
                     self.meter.stats.invalidations += 1;
                 }
                 e.snapshot = Some(f.clone());
             }
         }
-        (e, &mut self.meter)
+        query(e, &mut self.meter)
     }
 
     /// The control-flow graph of `f`, memoized.
     pub fn cfg(&mut self, f: &Function) -> Arc<Cfg> {
         let start = self.meter.trace.now_ns();
-        let (e, meter) = self.validated(f);
-        meter.lookup("cache.cfg", start, &mut e.cfg, || Cfg::compute(f))
+        self.with_entry(f, |e, meter| meter.cfg(f, e, start))
     }
 
     /// Backward liveness of `f`, memoized.
     pub fn liveness(&mut self, f: &Function) -> Arc<Liveness> {
         let start = self.meter.trace.now_ns();
-        let (e, meter) = self.validated(f);
-        let cfg = meter.lookup("cache.cfg", start, &mut e.cfg, || Cfg::compute(f));
-        let start = meter.trace.now_ns();
-        meter.lookup("cache.liveness", start, &mut e.liveness, || Liveness::compute(f, &cfg))
+        self.with_entry(f, |e, meter| {
+            let cfg = meter.cfg(f, e, start);
+            let start = meter.trace.now_ns();
+            meter.lookup("cache.liveness", start, &mut e.liveness, || Liveness::compute(f, &cfg))
+        })
     }
 
     /// UD/DU chains of `f`, memoized.
     pub fn udu(&mut self, f: &Function) -> Arc<UdDu> {
-        self.udu_in(f).0
+        let start = self.meter.trace.now_ns();
+        self.with_entry(f, |e, meter| meter.udu(f, e, start))
     }
 
     /// UD/DU chains of `f` by value, for consumers that maintain the
@@ -280,19 +273,13 @@ impl AnalysisCache {
     /// consumer is about to mutate `f`, so keeping a copy would only
     /// serve a guaranteed-stale hit.
     pub fn take_udu(&mut self, f: &Function) -> UdDu {
-        let (arc, e) = self.udu_in(f);
-        e.udu = None;
-        Arc::try_unwrap(arc).unwrap_or_else(|arc| (*arc).clone())
-    }
-
-    /// The memoized UD/DU chains of `f`, with the entry that holds them.
-    fn udu_in(&mut self, f: &Function) -> (Arc<UdDu>, &mut Entry) {
         let start = self.meter.trace.now_ns();
-        let (e, meter) = self.validated(f);
-        let cfg = meter.lookup("cache.cfg", start, &mut e.cfg, || Cfg::compute(f));
-        let start = meter.trace.now_ns();
-        let udu = meter.lookup("cache.udu", start, &mut e.udu, || UdDu::compute(f, &cfg));
-        (udu, e)
+        let udu = self.with_entry(f, |e, meter| {
+            let udu = meter.udu(f, e, start);
+            e.udu = None;
+            udu
+        });
+        Arc::try_unwrap(udu).unwrap_or_else(|arc| (*arc).clone())
     }
 }
 
@@ -323,23 +310,24 @@ mod tests {
         let _ = cache.udu(&f);
         assert_eq!(cache.misses(), 3, "no recompute on clean re-query");
         assert_eq!(cache.hits(), 7, "each re-query hits (incl. inner cfg lookups)");
-        assert_eq!(cache.generation("f"), 0);
+        assert_eq!(cache.invalidations(), 0);
     }
 
     #[test]
-    fn note_rewrites_invalidates() {
-        let f = sample();
+    fn changed_body_misses_unchanged_body_hits() {
+        let mut f = sample();
         let mut cache = AnalysisCache::new();
         let before = cache.cfg(&f);
-        cache.note_rewrites("f", 0);
-        assert!(Arc::ptr_eq(&before, &cache.cfg(&f)), "clean pass keeps facts");
-        assert_eq!(cache.generation("f"), 0);
+        // An equal body is served the facts, whatever passes ran over it.
+        assert!(Arc::ptr_eq(&before, &cache.cfg(&f.clone())), "unchanged body hits");
+        assert_eq!((cache.hits(), cache.misses(), cache.invalidations()), (1, 1, 0));
 
-        cache.note_rewrites("f", 3);
-        assert_eq!(cache.generation("f"), 1);
+        f.block_mut(BlockId(0)).insts[0] =
+            Inst::Const { dst: sxe_ir::Reg(1), value: 3, ty: sxe_ir::Ty::I32 };
         let after = cache.cfg(&f);
-        assert!(!Arc::ptr_eq(&before, &after), "rewrite recomputes");
-        assert_eq!(cache.misses(), 2);
+        assert!(!Arc::ptr_eq(&before, &after), "changed body recomputes");
+        assert_eq!((cache.hits(), cache.misses(), cache.invalidations()), (1, 2, 1));
+        assert!(Arc::ptr_eq(&after, &cache.cfg(&f)), "the new body is memoized");
     }
 
     #[test]
@@ -354,7 +342,7 @@ mod tests {
         );
         let after = cache.udu(&f);
         assert!(!Arc::ptr_eq(&before, &after), "stale facts never served");
-        assert_eq!(cache.generation("f"), 1, "detected mismatch counts");
+        assert_eq!(cache.invalidations(), 1, "detected mismatch counts");
     }
 
     /// Query `f`, rewrite it with `rewrite` without telling the cache,
@@ -367,7 +355,7 @@ mod tests {
         let after = cache.udu(&f);
         assert!(!Arc::ptr_eq(&before, &after), "stale facts never served");
         assert_eq!(cache.misses(), misses + 2, "cfg and chains recomputed");
-        assert_eq!(cache.generation("f"), 1, "detected mismatch counts");
+        assert_eq!(cache.invalidations(), 1, "detected mismatch counts");
     }
 
     /// `func @f() -> f64` returning one float constant.
@@ -418,7 +406,7 @@ mod tests {
         let after = cache.udu(&f);
         assert!(Arc::ptr_eq(&before, &after), "an unchanged NaN body is served");
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
-        assert_eq!(cache.generation("f"), 0);
+        assert_eq!(cache.invalidations(), 0);
     }
 
     #[test]
@@ -435,18 +423,22 @@ mod tests {
 
     #[test]
     fn stats_count_every_invalidation_kind() {
-        let mut f = sample();
+        let original = sample();
+        let mut f = original.clone();
         let mut cache = AnalysisCache::new();
         let _ = cache.cfg(&f);
-        cache.note_rewrites("f", 2); // explicit
+        // A rewrite, then a rollback to the older body: each is one
+        // stale entry found by the snapshot comparison.
         f.block_mut(BlockId(0)).insts.insert(
             0,
             Inst::Const { dst: sxe_ir::Reg(1), value: 9, ty: sxe_ir::Ty::I32 },
         );
-        cache.invalidate("f"); // drops the snapshot too
         let _ = cache.cfg(&f);
+        let _ = cache.cfg(&original);
+        let _ = cache.cfg(&original);
         let s = cache.stats();
         assert_eq!(s.invalidations, 2);
+        assert_eq!((s.hits, s.misses), (1, 3));
         assert_eq!((s.hits, s.misses), (cache.hits(), cache.misses()));
         let mut total = CacheStats::default();
         total.merge(s);
@@ -495,11 +487,32 @@ mod tests {
         let mut cache = AnalysisCache::new();
         let _ = cache.cfg(&f);
         let _ = cache.cfg(&g);
-        cache.invalidate("g");
-        assert_eq!(cache.generation("f"), 0);
-        assert_eq!(cache.generation("g"), 1);
+        g.delete_inst(InstId::new(BlockId(0), 0));
+        let misses = cache.misses();
+        let _ = cache.cfg(&g);
+        assert_eq!(cache.misses(), misses + 1, "g's changed body recomputes");
+        assert_eq!(cache.invalidations(), 1);
         let hits = cache.hits();
         let _ = cache.cfg(&f);
         assert_eq!(cache.hits(), hits + 1, "f unaffected by g's invalidation");
+    }
+
+    #[test]
+    fn disabled_cache_never_hits_and_stores_nothing() {
+        let f = sample();
+        let mut cache = AnalysisCache::disabled();
+        let a = cache.cfg(&f);
+        let b = cache.cfg(&f);
+        assert!(!Arc::ptr_eq(&a, &b), "every query computes");
+        assert_eq!(Arc::strong_count(&a), 1, "no copy is kept");
+        let live = cache.liveness(&f);
+        assert_eq!(Arc::strong_count(&live), 1);
+        let udu = cache.udu(&f);
+        assert_eq!(Arc::strong_count(&udu), 1);
+        let taken = cache.take_udu(&f);
+        assert_eq!(taken.num_defs(), udu.num_defs());
+        // cfg, cfg, cfg + liveness, cfg + udu, cfg + udu.
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 8, invalidations: 0 });
+        assert!(cache.entries.is_empty(), "no entry, so no snapshot");
     }
 }

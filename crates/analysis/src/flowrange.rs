@@ -20,9 +20,11 @@
 //! sign-extended at that def. The eliminator, which knows extension
 //! facts, applies [`binop_range`]'s rules for them one def deep.
 //!
-//! Soundness note: intervals describe low-32 values, which no
-//! sign-extension instruction changes — so a state computed once remains
-//! valid while extensions are inserted or deleted.
+//! Soundness note: intervals describe low-32 values. An `extend.32`
+//! does not change them, so a state computed once stays valid while
+//! `extend.32`s are inserted or deleted. An `extend.8`/`extend.16`
+//! bounds its result to the narrow range: deleting one can widen the
+//! intervals of a state computed afterwards.
 
 use sxe_ir::{Cfg, Cond, Function, Inst, Reg, Ty, UnOp};
 
@@ -142,9 +144,10 @@ impl FlowRanges {
     /// `result[i][r]` is the interval of register `r` immediately before
     /// instruction `i`.
     ///
-    /// Deleting or inserting sign extensions does not change low-32
-    /// values, so one materialization remains valid across an entire
-    /// elimination run.
+    /// Deleting or inserting an `extend.32` does not change low-32
+    /// intervals, so a materialization stays the same across such
+    /// edits. Deleting an `extend.8`/`extend.16` can widen the
+    /// intervals after it, so the result depends on when it is taken.
     #[must_use]
     pub fn materialize_block(&self, f: &Function, b: sxe_ir::BlockId) -> Vec<Vec<Interval>> {
         let mut state = self.entry[b.index()].clone();

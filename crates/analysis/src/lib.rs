@@ -16,8 +16,9 @@
 //! * [`Freq`] — execution-frequency estimation for order determination
 //!   (paper §2.2);
 //! * [`AnalysisCache`] — per-function memoization of [`Cfg`](sxe_ir::Cfg),
-//!   [`Liveness`], and [`UdDu`] with generation-based invalidation, so
-//!   pipeline stages stop recomputing facts over unchanged functions.
+//!   [`Liveness`], and [`UdDu`], validated against a snapshot of the
+//!   body, so pipeline stages stop recomputing facts over unchanged
+//!   functions.
 //!
 //! ```
 //! use sxe_ir::{parse_function, Cfg};

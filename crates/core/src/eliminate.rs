@@ -68,8 +68,10 @@ pub fn run_elimination_budgeted(
 ) -> ElimResult {
     let mut result = ElimResult::default();
     // Per-instruction flow intervals are shared (lazily, per block)
-    // across every elimination: removing an extension never changes
-    // low-32 values.
+    // across every elimination. Removing an `extend.32` changes no
+    // low-32 interval; removing an `extend.8`/`extend.16` can widen the
+    // intervals after it, so answers depend on when a block is first
+    // touched (see `LazyFlowStates::at`).
     let flow_states = LazyFlowStates::new(f.blocks.len(), flow, config.array_analysis);
     for &ext_id in order {
         if !budget.spend(1) {
@@ -166,8 +168,13 @@ impl<'a> LazyFlowStates<'a> {
     }
 
     /// Intervals before instruction `id` (materializing its block on
-    /// first touch). Tombstoning extensions between calls is harmless:
-    /// their transfer is the low-32 identity.
+    /// first touch, from `f` as it stands then). Tombstoning an
+    /// `extend.32` between calls changes nothing: its transfer is the
+    /// low-32 identity. An `extend.8`/`extend.16` bounds its result to
+    /// the narrow range, so a block materialized after one was deleted
+    /// can hold wider intervals than one materialized before, and the
+    /// elimination count depends on the order blocks are first queried
+    /// (ROADMAP item 9).
     fn at(&self, f: &Function, id: InstId, r: Reg) -> Interval {
         if !self.enabled {
             return Interval::TOP;

@@ -1,8 +1,8 @@
 //! Orchestration of Figure 5 step 3: insertion, order determination, and
 //! elimination, per configured [`Variant`].
 
-use sxe_analysis::{AnalysisCache, FlowRanges, Freq, UdDu};
-use sxe_ir::{Budget, Cfg, Function, Inst, InstId};
+use sxe_analysis::{AnalysisCache, FlowRanges, Freq};
+use sxe_ir::{Budget, Function, Inst, InstId};
 
 use crate::config::{SxeConfig, SxeStats};
 use crate::eliminate::{remove_dummies, run_elimination_budgeted, ElimConfig};
@@ -27,11 +27,12 @@ pub fn run_step3(f: &mut Function, config: &SxeConfig, profile: Option<&[u64]>) 
         return stats; // baseline / gen-use: no step-3 optimization
     }
 
+    let mut cache = AnalysisCache::new();
     let ins = step3_insertion(f, config);
     stats.dummies = ins.dummies;
     stats.inserted = ins.inserted;
-    let order = step3_order(f, config, profile);
-    let out = step3_eliminate(f, config, &order, &Budget::unlimited());
+    let order = step3_order_cached(f, config, profile, &mut cache);
+    let out = step3_eliminate_cached(f, config, &order, &Budget::unlimited(), &mut cache);
     stats.examined = out.examined;
     stats.eliminated = out.eliminated;
     stats.eliminated_via_array = out.via_array;
@@ -81,33 +82,29 @@ pub fn step3_insertion(f: &mut Function, config: &SxeConfig) -> InsertionOutcome
     InsertionOutcome { dummies, inserted }
 }
 
-/// [`step3_insertion`] that keeps a memoized [`AnalysisCache`] honest:
-/// insertion rewrites `f` whenever it places a marker or extension, so
-/// the function's cache entry is invalidated when (and only when) the
-/// stage changed something.
+/// [`step3_insertion`]; insertion consults no analysis cache. Kept for
+/// perfbench's mirror (ROADMAP item 1); add no callers.
 pub fn step3_insertion_cached(
     f: &mut Function,
     config: &SxeConfig,
-    cache: &mut AnalysisCache,
+    _cache: &mut AnalysisCache,
 ) -> InsertionOutcome {
-    let out = step3_insertion(f, config);
-    cache.note_rewrites(&f.name, out.dummies + out.inserted);
-    out
+    step3_insertion(f, config)
+}
+
+/// [`step3_order_cached`] on a pass-through cache. Kept for perfbench's
+/// mirror (ROADMAP item 1); add no callers.
+#[must_use]
+pub fn step3_order(f: &Function, config: &SxeConfig, profile: Option<&[u64]>) -> Vec<InstId> {
+    step3_order_cached(f, config, profile, &mut AnalysisCache::disabled())
 }
 
 /// Stage (3)-2, standalone: order determination. Returns the extension
 /// sites to examine, hottest-first when the variant orders by frequency,
 /// already filtered to the configured widths. The ids are only valid
-/// until `f` is next mutated.
-#[must_use]
-pub fn step3_order(f: &Function, config: &SxeConfig, profile: Option<&[u64]>) -> Vec<InstId> {
-    order_with(f, config, profile, &Cfg::compute(f))
-}
-
-/// [`step3_order`] drawing the CFG from a memoized [`AnalysisCache`]
-/// instead of recomputing it. The cache entry stays valid afterwards
-/// (ordering does not mutate `f`), so the following
-/// [`step3_eliminate_cached`] gets it for free.
+/// until `f` is next mutated. The CFG comes from `cache`, which keeps it
+/// for the following [`step3_eliminate_cached`] (ordering does not
+/// mutate `f`).
 #[must_use]
 pub fn step3_order_cached(
     f: &Function,
@@ -116,21 +113,17 @@ pub fn step3_order_cached(
     cache: &mut AnalysisCache,
 ) -> Vec<InstId> {
     let cfg = cache.cfg(f);
-    order_with(f, config, profile, &cfg)
-}
-
-fn order_with(f: &Function, config: &SxeConfig, profile: Option<&[u64]>, cfg: &Cfg) -> Vec<InstId> {
     let freq_storage: Option<Freq> = if config.variant.order_determination() {
         match profile {
             Some(counts) if config.use_profile && counts.len() == f.blocks.len() => {
                 Some(Freq::from_counts(counts))
             }
-            _ => Some(static_freq(f, cfg)),
+            _ => Some(static_freq(f, &cfg)),
         }
     } else {
         None
     };
-    let mut order = elimination_order(f, cfg, freq_storage.as_ref());
+    let mut order = elimination_order(f, &cfg, freq_storage.as_ref());
     order.retain(|&id| match f.inst(id) {
         Inst::Extend { from, .. } => config.widths.contains(from),
         _ => false,
@@ -138,8 +131,8 @@ fn order_with(f: &Function, config: &SxeConfig, profile: Option<&[u64]>, cfg: &C
     order
 }
 
-/// Recovery fallback for [`step3_order`]: a plain program-order scan of
-/// the eligible extensions, with no frequency analysis. Used when the
+/// Recovery fallback for [`step3_order_cached`]: a plain program-order
+/// scan of the eligible extensions, with no frequency analysis. Used when the
 /// order stage itself was rolled back — elimination can still proceed,
 /// just without the hottest-first payoff.
 #[must_use]
@@ -152,26 +145,23 @@ pub fn fallback_order(f: &Function, config: &SxeConfig) -> Vec<InstId> {
         .collect()
 }
 
-/// Stage (3)-3, standalone: chain creation, flow analysis, budgeted
-/// elimination over `order`, dummy removal, and zero-extension cleanup.
+/// [`step3_eliminate_cached`] on a pass-through cache. Kept for
+/// perfbench's mirror (ROADMAP item 1); add no callers.
 pub fn step3_eliminate(
     f: &mut Function,
     config: &SxeConfig,
     order: &[InstId],
     budget: &Budget,
 ) -> ElimOutcome {
-    // Chains are built once, after insertion, and maintained
-    // incrementally through the eliminations.
-    let cfg = Cfg::compute(f);
-    let udu = UdDu::compute(f, &cfg);
-    eliminate_with(f, config, order, budget, &cfg, udu)
+    step3_eliminate_cached(f, config, order, budget, &mut AnalysisCache::disabled())
 }
 
-/// [`step3_eliminate`] drawing the CFG and UD/DU chains from a memoized
-/// [`AnalysisCache`]. The CFG is typically a hit left behind by
-/// [`step3_order_cached`]; the chains are moved out of the cache because
-/// elimination maintains them incrementally while rewriting. The cache
-/// entry is invalidated afterwards — elimination rewrites `f`.
+/// Stage (3)-3, standalone: chain creation, flow analysis, budgeted
+/// elimination over `order`, dummy removal, and zero-extension cleanup.
+/// The CFG comes from `cache`, typically a hit left behind by
+/// [`step3_order_cached`]. The chains are built once, after insertion,
+/// and moved out of the cache, because elimination maintains them
+/// incrementally while rewriting.
 pub fn step3_eliminate_cached(
     f: &mut Function,
     config: &SxeConfig,
@@ -180,24 +170,12 @@ pub fn step3_eliminate_cached(
     cache: &mut AnalysisCache,
 ) -> ElimOutcome {
     let cfg = cache.cfg(f);
-    let udu = cache.take_udu(f);
-    let out = eliminate_with(f, config, order, budget, &cfg, udu);
-    cache.invalidate(&f.name);
-    out
-}
-
-fn eliminate_with(
-    f: &mut Function,
-    config: &SxeConfig,
-    order: &[InstId],
-    budget: &Budget,
-    cfg: &Cfg,
-    mut udu: UdDu,
-) -> ElimOutcome {
-    // Flow-sensitive interval analysis: intervals of low-32 values are
-    // unaffected by inserting/removing extensions, so one computation
-    // serves every elimination.
-    let flow = FlowRanges::compute(f, cfg);
+    let mut udu = cache.take_udu(f);
+    // Flow-sensitive interval analysis, computed once for every
+    // elimination. Deleting an `extend.32` leaves the low-32 intervals
+    // as they were; deleting an `extend.8`/`extend.16` can widen them
+    // (see `LazyFlowStates` in `eliminate.rs`).
+    let flow = FlowRanges::compute(f, &cfg);
 
     let ec = ElimConfig {
         target: config.target,
@@ -369,8 +347,12 @@ b2:
         assert_eq!(cached, plain);
         // Order left a cfg behind for elimination to reuse.
         assert!(cache.hits() >= 1, "eliminate reused the order stage's cfg");
-        // Elimination rewrote the function, so the entry was invalidated.
-        assert!(cache.generation("kernel") >= 1);
+        // Elimination rewrote the function: the next query sees a
+        // changed body, misses, and drops the stale entry.
+        let misses = cache.misses();
+        let _ = cache.cfg(&cached);
+        assert_eq!(cache.misses(), misses + 1);
+        assert_eq!(cache.invalidations(), 1);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!                        (default: unlimited; maps onto the same
 //!                        interior-atomic Budget as --budget)
 //!   --threads <n>        worker threads for sharded compilation (default: 1)
-//!   --no-cache           disable the per-worker analysis cache
+//!   --no-cache           run on a pass-through analysis cache (every
+//!                        query computes; same output)
 //!   --chaos-seed <n>     inject one deterministic fault derived from n,
 //!                        then check the result with the differential
 //!                        oracle against the unoptimized module

@@ -6,8 +6,9 @@
 //! 1. conversion for a 64-bit architecture ([`sxe_core::convert`]);
 //! 2. general optimizations ([`sxe_opt`]);
 //! 3. elimination and movement of sign extensions (the staged
-//!    [`sxe_core::step3_insertion`] / [`sxe_core::step3_order`] /
-//!    [`sxe_core::step3_eliminate`], each its own containment boundary).
+//!    [`sxe_core::step3_insertion`] / [`sxe_core::step3_order_cached`] /
+//!    [`sxe_core::step3_eliminate_cached`], each its own containment
+//!    boundary).
 //!
 //! Phase timing (the paper's Table 3 breakdown) comes from the
 //! [`Telemetry`] spans the pipeline records when a sink is attached.
@@ -25,8 +26,9 @@
 //!   sequential run;
 //! * **memoized analyses** — [`Compiler::cache`] keeps each worker's
 //!   [`sxe_analysis::AnalysisCache`] of CFG / liveness / UD/DU facts warm
-//!   across pipeline stages, invalidated whenever a pass rewrites the
-//!   function.
+//!   across pipeline stages, dropped whenever the body no longer matches
+//!   the snapshot they were computed from; with it off, the same stages
+//!   run on a pass-through cache.
 //!
 //! Construction goes through [`Compiler::builder`]; every entry point
 //! ([`Compiler::try_compile`] and its profiled and batch forms) returns
@@ -161,9 +163,11 @@ pub struct Compiler {
     /// thread counts.
     pub threads: usize,
     /// Memoize per-function analyses (CFG, liveness, UD/DU chains) across
-    /// pipeline stages, invalidated on every rewrite. On by default; the
-    /// output is identical either way, so `false` is only useful for
-    /// measuring the cache's effect.
+    /// pipeline stages, dropped when the body no longer matches their
+    /// snapshot. On by default; `false` runs the same stages on a
+    /// pass-through [`AnalysisCache::disabled`]. The output is identical
+    /// either way, so `false` is only useful for measuring the cache's
+    /// effect.
     pub cache: bool,
     /// Telemetry sink: spans around every containment boundary plus the
     /// pipeline's metrics, exported via [`Telemetry::chrome_trace`] /
@@ -329,10 +333,12 @@ impl Compiler {
         events.extend(prologue_events);
 
         let general = &self.general;
-        let use_cache = self.cache;
+        let memoize = self.cache;
+        let new_cache =
+            || if memoize { AnalysisCache::new() } else { AnalysisCache::disabled() };
         let step2_target = self.sxe.target;
         let step2 = par_map_mut(&mut module.functions, self.threads, |_, f| {
-            step2_function(f, general, &shared, use_cache, step2_target)
+            step2_function(f, general, &shared, new_cache(), step2_target)
         });
         for out in step2 {
             report.absorb(out.report);
@@ -377,7 +383,7 @@ impl Compiler {
         let config = &config;
         let step3 = par_map_mut(&mut module.functions, self.threads, |i, f| {
             let p = profile.and_then(|p| p.get(i)).map(Vec::as_slice);
-            step3_function(f, config, p, &shared, use_cache)
+            step3_function(f, config, p, &shared, new_cache())
         });
         for out in step3 {
             report.absorb(out.report);
@@ -509,7 +515,8 @@ impl CompilerBuilder {
         self
     }
 
-    /// Enable or disable the per-worker analysis cache.
+    /// Memoize analyses in each worker's cache (`true`, the default) or
+    /// run on a pass-through one (`false`).
     #[must_use]
     pub fn cache(mut self, cache: bool) -> CompilerBuilder {
         self.compiler.cache = cache;
@@ -544,13 +551,12 @@ fn step2_function(
     f: &mut Function,
     general: &GeneralOpts,
     shared: &SharedState,
-    use_cache: bool,
+    mut cache: AnalysisCache,
     target: Target,
 ) -> Step2Outcome {
     let fname = f.name.clone();
     let mut harness = Harness::new(shared, &format!("step2:@{fname}"));
-    let mut cache = AnalysisCache::new();
-    if use_cache && shared.clock.is_some() {
+    if shared.clock.is_some() {
         cache.attach_trace(Lane::new(shared.clock, &format!("cache.step2:@{fname}")));
     }
     let passes = general.passes();
@@ -564,13 +570,7 @@ fn step2_function(
                 f,
                 verify_function,
                 corrupt_function,
-                |f, _| {
-                    if use_cache {
-                        p.run_cached(f, &mut cache, target)
-                    } else {
-                        p.run(f, target)
-                    }
-                },
+                |f, _| p.run_cached(f, &mut cache, target),
             );
             p.record(&mut round, n.unwrap_or(0));
         }
@@ -610,12 +610,11 @@ fn step3_function(
     config: &SxeConfig,
     profile: Option<&[u64]>,
     shared: &SharedState,
-    use_cache: bool,
+    mut cache: AnalysisCache,
 ) -> Step3Outcome {
     let fname = f.name.clone();
     let mut harness = Harness::new(shared, &format!("step3:@{fname}"));
-    let mut cache = AnalysisCache::new();
-    if use_cache && shared.clock.is_some() {
+    if shared.clock.is_some() {
         cache.attach_trace(Lane::new(shared.clock, &format!("cache.step3:@{fname}")));
     }
     let mut stats = SxeStats::default();
@@ -644,13 +643,7 @@ fn step3_function(
         f,
         verify_function,
         corrupt_function,
-        |f, _| {
-            if use_cache {
-                sxe_core::step3_insertion_cached(f, config, &mut cache)
-            } else {
-                sxe_core::step3_insertion(f, config)
-            }
-        },
+        |f, _| sxe_core::step3_insertion(f, config),
     ) {
         stats.dummies += ins.dummies;
         stats.inserted += ins.inserted;
@@ -663,13 +656,7 @@ fn step3_function(
             f,
             verify_function,
             corrupt_function,
-            |f, _| {
-                if use_cache {
-                    sxe_core::step3_order_cached(f, config, profile, &mut cache)
-                } else {
-                    sxe_core::step3_order(f, config, profile)
-                }
-            },
+            |f, _| sxe_core::step3_order_cached(f, config, profile, &mut cache),
         )
         // A rolled-back ordering still leaves every site eliminable —
         // just without the hottest-first payoff.
@@ -681,13 +668,7 @@ fn step3_function(
         f,
         verify_function,
         corrupt_function,
-        |f, budget| {
-            if use_cache {
-                sxe_core::step3_eliminate_cached(f, config, &order, budget, &mut cache)
-            } else {
-                sxe_core::step3_eliminate(f, config, &order, budget)
-            }
-        },
+        |f, budget| sxe_core::step3_eliminate_cached(f, config, &order, budget, &mut cache),
     ) {
         Some(out) => {
             stats.examined += out.examined;

@@ -5,29 +5,21 @@ use sxe_ir::{Cfg, Function, Inst};
 
 /// Delete pure instructions whose destination is dead; returns the number
 /// removed. Iterates to a fixed point (removing one dead instruction can
-/// kill another).
-pub fn run(f: &mut Function) -> usize {
-    run_cached(f, &mut AnalysisCache::new())
-}
-
-/// [`run`] drawing the CFG and liveness of each fixpoint round from a
-/// memoized [`AnalysisCache`]: a round that removes nothing (always the
-/// final one) reuses the facts of the round before it, and a function
-/// already clean when the pass starts never recomputes anything.
-pub fn run_cached(f: &mut Function, cache: &mut AnalysisCache) -> usize {
+/// kill another). The CFG and liveness of each round come from `cache`:
+/// on a memoizing cache, a function already clean when the pass starts
+/// recomputes nothing.
+pub fn run(f: &mut Function, cache: &mut AnalysisCache) -> usize {
     let mut total = 0;
     loop {
         let cfg = cache.cfg(f);
         let live = cache.liveness(f);
         let n = sweep(f, &cfg, &live);
-        cache.note_rewrites(&f.name, n);
         if n == 0 {
             break;
         }
         total += n;
     }
     f.compact();
-    cache.note_rewrites(&f.name, total);
     total
 }
 
@@ -85,7 +77,7 @@ mod tests {
              b0:\n    r1 = const.i32 3\n    r2 = add.i32 r1, r1\n    r3 = extend.32 r2\n    ret r0\n}\n",
         )
         .unwrap();
-        assert_eq!(run(&mut f), 3);
+        assert_eq!(run(&mut f, &mut AnalysisCache::new()), 3);
         assert_eq!(f.inst_count(), 1);
     }
 
@@ -96,7 +88,7 @@ mod tests {
              b0:\n    r2 = div.i32 r0, r1\n    r3 = newarray.i32 r0\n    ret r0\n}\n",
         )
         .unwrap();
-        assert_eq!(run(&mut f), 0);
+        assert_eq!(run(&mut f, &mut AnalysisCache::new()), 0);
         assert_eq!(f.inst_count(), 3);
     }
 
@@ -109,7 +101,7 @@ mod tests {
              b2:\n    ret r1\n}\n",
         )
         .unwrap();
-        assert_eq!(run(&mut f), 0);
+        assert_eq!(run(&mut f, &mut AnalysisCache::new()), 0);
     }
 
     #[test]
@@ -120,7 +112,7 @@ mod tests {
              b1:\n    r1 = const.i32 5\n    r2 = add.i32 r1, r1\n    ret r2\n}\n",
         )
         .unwrap();
-        assert_eq!(run(&mut f), 2);
+        assert_eq!(run(&mut f, &mut AnalysisCache::new()), 2);
     }
 
     #[test]
@@ -130,7 +122,7 @@ mod tests {
              b0:\n    r1 = copy.i32 r0\n    r1 = extend.32 r1\n    ret r0\n}\n",
         )
         .unwrap();
-        assert_eq!(run(&mut f), 2);
+        assert_eq!(run(&mut f, &mut AnalysisCache::new()), 2);
         assert_eq!(f.count_extends(None), 0);
     }
 }

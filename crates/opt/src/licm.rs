@@ -17,17 +17,12 @@ use std::collections::HashMap;
 use sxe_analysis::{AnalysisCache, Liveness};
 use sxe_ir::{BlockId, Cfg, DomTree, Function, Inst, InstId, LoopForest, Reg};
 
-/// Hoist loop-invariant instructions; returns the number moved.
-pub fn run(f: &mut Function) -> usize {
-    run_cached(f, &mut AnalysisCache::new())
-}
-
-/// [`run`] drawing the CFG and liveness of each round from a memoized
-/// [`AnalysisCache`]. Only the first round can be served facts an
-/// earlier pass left valid: every round that hoists notes its rewrites,
-/// so each later round, the final nothing-to-hoist one included,
-/// recomputes both.
-pub fn run_cached(f: &mut Function, cache: &mut AnalysisCache) -> usize {
+/// Hoist loop-invariant instructions; returns the number moved. The CFG
+/// and liveness of each round come from `cache`. Only the first round
+/// can be served facts an earlier pass left valid: every round that
+/// hoists changes the body, so each later round, the final
+/// nothing-to-hoist one included, recomputes both.
+pub fn run(f: &mut Function, cache: &mut AnalysisCache) -> usize {
     let mut total = 0;
     // Each round hoists out of one loop and then recomputes all analyses;
     // the in-loop instruction count strictly decreases, so this
@@ -36,7 +31,6 @@ pub fn run_cached(f: &mut Function, cache: &mut AnalysisCache) -> usize {
         let cfg = cache.cfg(f);
         let live = cache.liveness(f);
         let moved = hoist_one_loop(f, &cfg, &live);
-        cache.note_rewrites(&f.name, moved);
         if moved == 0 {
             return total;
         }
@@ -199,7 +193,7 @@ mod tests {
              b2:\n    ret r1\n}\n",
         )
         .unwrap();
-        let n = run(&mut f);
+        let n = run(&mut f, &mut AnalysisCache::new());
         assert!(n >= 1, "extend should be hoisted");
         verify_function(&f).unwrap();
         // The loop body must no longer contain the extend.
@@ -218,7 +212,7 @@ mod tests {
              b2:\n    ret r0\n}\n",
         )
         .unwrap();
-        run(&mut f);
+        run(&mut f, &mut AnalysisCache::new());
         // The constants may hoist, but the variant extend must stay put.
         assert!(f.block(BlockId(1)).insts.iter().any(|i| i.is_extend(None)));
     }
@@ -236,7 +230,7 @@ mod tests {
              b4:\n    ret r2\n}\n",
         )
         .unwrap();
-        run(&mut f);
+        run(&mut f, &mut AnalysisCache::new());
         assert!(
             f.block(BlockId(2)).insts.iter().any(|i| i.is_extend(None)),
             "must not hoist: def doesn't dominate exit and r2 is live"
@@ -254,7 +248,7 @@ mod tests {
         .unwrap();
         // Division may trap, so it is excluded as side-effecting even
         // though its operands are invariant.
-        run(&mut f);
+        run(&mut f, &mut AnalysisCache::new());
         use sxe_ir::BinOp;
         assert!(f
             .block(BlockId(1))
@@ -277,7 +271,7 @@ mod tests {
         )
         .unwrap();
         let before = f.blocks.len();
-        let n = run(&mut f);
+        let n = run(&mut f, &mut AnalysisCache::new());
         assert!(n >= 1);
         assert_eq!(f.blocks.len(), before + 1, "preheader appended");
         verify_function(&f).unwrap();
@@ -298,7 +292,7 @@ mod tests {
              b5:\n    ret r3\n}\n",
         )
         .unwrap();
-        let n = run(&mut f);
+        let n = run(&mut f, &mut AnalysisCache::new());
         assert!(n >= 1);
         verify_function(&f).unwrap();
         // The extend left the inner loop body.

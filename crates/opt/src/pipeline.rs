@@ -103,34 +103,25 @@ impl Pass {
         }
     }
 
+    /// [`run_cached`](Self::run_cached) on a pass-through cache. Kept
+    /// for perfbench's mirror (ROADMAP item 1); add no callers.
+    pub fn run(self, f: &mut Function, target: Target) -> usize {
+        self.run_cached(f, &mut AnalysisCache::disabled(), target)
+    }
+
     /// Run this pass once on `f` for `target`, returning the number of
     /// rewrites. Constant folding and simplification consult the target's
     /// machine model (MIPS64 canonicalizes narrow ALU results); the other
-    /// passes are target-independent.
-    pub fn run(self, f: &mut Function, target: Target) -> usize {
+    /// passes are target-independent. LICM and DCE draw their analyses
+    /// from `cache`.
+    pub fn run_cached(self, f: &mut Function, cache: &mut AnalysisCache, target: Target) -> usize {
         match self {
             Pass::Copyprop => crate::copyprop::run(f),
             Pass::Constfold => crate::constfold::run(f, target),
             Pass::Simplify => crate::simplify::run(f, target),
             Pass::Cse => crate::cse::run(f),
-            Pass::Licm => crate::licm::run(f),
-            Pass::Dce => crate::dce::run(f),
-        }
-    }
-
-    /// Like [`run`](Self::run), but keeping a memoized [`AnalysisCache`]
-    /// coherent: passes with cache-aware implementations draw their
-    /// analyses from it, and every rewrite is reported so stale facts are
-    /// dropped.
-    pub fn run_cached(self, f: &mut Function, cache: &mut AnalysisCache, target: Target) -> usize {
-        match self {
-            Pass::Licm => crate::licm::run_cached(f, cache),
-            Pass::Dce => crate::dce::run_cached(f, cache),
-            _ => {
-                let n = self.run(f, target);
-                cache.note_rewrites(&f.name, n);
-                n
-            }
+            Pass::Licm => crate::licm::run(f, cache),
+            Pass::Dce => crate::dce::run(f, cache),
         }
     }
 
@@ -239,10 +230,11 @@ impl OptStats {
 pub fn run_function(f: &mut Function, opts: &GeneralOpts, target: Target) -> OptStats {
     let passes = opts.passes();
     let mut stats = OptStats::default();
+    let mut cache = AnalysisCache::new();
     for _ in 0..opts.max_iters {
         let mut round = OptStats::default();
         for &p in &passes {
-            p.record(&mut round, p.run(f, target));
+            p.record(&mut round, p.run_cached(f, &mut cache, target));
         }
         let progress = round.total();
         stats.merge(round);

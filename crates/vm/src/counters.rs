@@ -1,17 +1,9 @@
 //! Dynamic execution counters — the quantities the paper's Tables 1 and 2
 //! report.
 //!
-//! Two recording surfaces share one mnemonic table ([`MNEMONICS`] /
-//! [`op_index`]):
-//!
-//! * [`Counters`] — the classic per-machine accumulator
-//!   ([`record`](Counters::record) takes `&mut self`);
-//! * [`SharedCounters`] — an atomic variant whose
-//!   [`record`](SharedCounters::record) takes `&self`, so concurrent
-//!   machines (e.g. the sharded compiler's profiling runs, or any
-//!   driver following `sxe-jit`'s shared-state pattern) can fold into
-//!   one set without a lock; [`snapshot`](SharedCounters::snapshot)
-//!   yields an ordinary [`Counters`].
+//! [`Counters`] is the per-machine accumulator
+//! ([`record`](Counters::record) takes `&mut self`); every op it counts
+//! is named through one mnemonic table ([`MNEMONICS`] / [`op_index`]).
 //!
 //! The mnemonic strings double as the telemetry label tails:
 //! [`Counters::record_into`] exports `vm.op.<mnemonic>` counters
@@ -19,7 +11,6 @@
 //! never disagree on op names.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use sxe_ir::{Inst, Width};
 
@@ -130,72 +121,6 @@ impl Counters {
     }
 }
 
-/// Lock-free shared counters: the same quantities as [`Counters`], but
-/// recordable through `&self` from any number of threads. Mirrors the
-/// compile pipeline's shared-state pattern (one atomic per quantity,
-/// relaxed ordering — totals are exact, inter-counter ordering is not
-/// observable).
-#[derive(Debug, Default)]
-pub struct SharedCounters {
-    insts: AtomicU64,
-    cycles: AtomicU64,
-    extends: [AtomicU64; 3],
-    per_op: [AtomicU64; MNEMONICS.len()],
-}
-
-impl SharedCounters {
-    /// Create zeroed shared counters.
-    #[must_use]
-    pub fn new() -> SharedCounters {
-        SharedCounters::default()
-    }
-
-    /// Record the execution of `inst` costing `cycles` (no `&mut`, no
-    /// lock).
-    pub fn record(&self, inst: &Inst, cycles: u64) {
-        self.insts.fetch_add(1, Ordering::Relaxed);
-        self.cycles.fetch_add(cycles, Ordering::Relaxed);
-        if let Inst::Extend { from, .. } = inst {
-            self.extends[width_index(*from)].fetch_add(1, Ordering::Relaxed);
-        }
-        self.per_op[op_index(inst)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold a machine's private [`Counters`] in wholesale (cheaper than
-    /// per-instruction atomics when the machine ran single-threaded).
-    pub fn merge(&self, other: &Counters) {
-        self.insts.fetch_add(other.insts, Ordering::Relaxed);
-        self.cycles.fetch_add(other.cycles, Ordering::Relaxed);
-        for (a, b) in self.extends.iter().zip(other.extends) {
-            a.fetch_add(b, Ordering::Relaxed);
-        }
-        for (k, v) in &other.per_op {
-            if let Some(i) = MNEMONICS.iter().position(|m| m == k) {
-                self.per_op[i].fetch_add(*v, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// A plain [`Counters`] copy of the current totals (zero-count ops
-    /// omitted, matching what per-machine recording produces).
-    #[must_use]
-    pub fn snapshot(&self) -> Counters {
-        let mut c = Counters::new();
-        c.insts = self.insts.load(Ordering::Relaxed);
-        c.cycles = self.cycles.load(Ordering::Relaxed);
-        for (a, b) in c.extends.iter_mut().zip(&self.extends) {
-            *a = b.load(Ordering::Relaxed);
-        }
-        for (i, n) in self.per_op.iter().enumerate() {
-            let n = n.load(Ordering::Relaxed);
-            if n > 0 {
-                c.per_op.insert(MNEMONICS[i], n);
-            }
-        }
-        c
-    }
-}
-
 pub(crate) fn width_index(w: Width) -> usize {
     match w {
         Width::W8 => 0,
@@ -231,7 +156,7 @@ pub(crate) mod opidx {
 /// recorded instruction instead of a `BTreeMap` entry lookup.
 /// [`FlatCounters::materialize`] folds the slots into an ordinary
 /// [`Counters`] (zero-count ops omitted, exactly like per-instruction
-/// recording and [`SharedCounters::snapshot`] produce).
+/// recording produces).
 #[derive(Debug, Default)]
 pub(crate) struct FlatCounters {
     pub insts: u64,
@@ -319,49 +244,6 @@ mod tests {
         assert_eq!(unique.len(), MNEMONICS.len());
         let i = Inst::Ret { value: None };
         assert_eq!(mnemonic(&i), MNEMONICS[op_index(&i)]);
-    }
-
-    #[test]
-    fn shared_counters_match_private_ones() {
-        let e = Inst::Extend { dst: Reg(0), src: Reg(0), from: Width::W32 };
-        let b = Inst::Br { target: sxe_ir::BlockId(0) };
-        let mut private = Counters::new();
-        let shared = SharedCounters::new();
-        for _ in 0..5 {
-            private.record(&e, 2);
-            shared.record(&e, 2);
-        }
-        private.record(&b, 1);
-        shared.record(&b, 1);
-        assert_eq!(shared.snapshot(), private);
-        // Wholesale merge doubles everything.
-        shared.merge(&private);
-        let mut doubled = private.clone();
-        doubled.merge(&private);
-        assert_eq!(shared.snapshot(), doubled);
-    }
-
-    #[test]
-    fn shared_counters_record_concurrently() {
-        let shared = std::sync::Arc::new(SharedCounters::new());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let s = std::sync::Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let e = Inst::Extend { dst: Reg(0), src: Reg(0), from: Width::W16 };
-                    for _ in 0..1000 {
-                        s.record(&e, 1);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let c = shared.snapshot();
-        assert_eq!(c.insts, 4000);
-        assert_eq!(c.extend_count(Some(Width::W16)), 4000);
-        assert_eq!(c.per_op["extend"], 4000);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod machine;
 mod native_engine;
 mod vm;
 
-pub use counters::{mnemonic, op_index, Counters, SharedCounters, MNEMONICS};
+pub use counters::{mnemonic, op_index, Counters, MNEMONICS};
 pub use error::Trap;
 pub use heap::{ArrayObj, Heap, HEAP_LIMIT_ELEMS};
 pub use machine::{BlockHook, Machine, Outcome, DEFAULT_FUEL, MAX_CALL_DEPTH};

@@ -209,3 +209,82 @@ fn full_register_shift_of_a_non_canonical_join_keeps_its_extension() {
         }
     }
 }
+
+/// One case of the full-register-read sweep: an `i64` join of `lo` and
+/// `hi`, read by `op.ty` with constant right operand `rhs`, optionally
+/// masked, then added to `i32::MAX` and converted to `f64` (the add and
+/// the conversion are what need the extension).
+fn full_register_read_module(
+    op: &str,
+    ty: &str,
+    join: [i64; 2],
+    rhs: i64,
+    mask: Option<i64>,
+) -> String {
+    let masked = mask.map_or(String::new(), |m| {
+        format!("    r5 = const.i32 {m}\n    r4 = and.i32 r4, r5\n")
+    });
+    format!(
+        "func @main(i32, i32) -> f64 {{\n\
+         b0:\n    condbr gt.i32 r0, r1, b1, b2\n\
+         b1:\n    r2 = const.i64 {}\n    br b3\n\
+         b2:\n    r2 = const.i64 {}\n    br b3\n\
+         b3:\n    r3 = const.i32 {rhs}\n    r4 = {op}.{ty} r2, r3\n{masked}\
+         \x20   r6 = const.i32 2147483647\n    r7 = add.i32 r4, r6\n\
+         \x20   r8 = i32tof64.f64 r7\n    ret r8\n}}\n",
+        join[0], join[1],
+    )
+}
+
+/// A 64-bit value whose upper word is not the sign of its low word: a
+/// small low word under a random upper word that is neither 0 nor -1.
+fn non_canonical(rng: &mut sxe_ir::rng::XorShift) -> i64 {
+    let low = rng.range_i64(-64, 64) as u32;
+    let high = loop {
+        let h = rng.next_u64() as u32;
+        if h != 0 && h != u32::MAX {
+            break h;
+        }
+    };
+    ((u64::from(high) << 32) | u64::from(low)) as i64
+}
+
+/// Seeded sweep over the shape behind the range-walk miscompile, which
+/// the fuzz generator does not build: a full-register `shr`/`div`/`rem`
+/// at `i8`/`i16`/`i32` of an `i64` join whose upper word is not the
+/// sign of its low word, with and without a mask. Every variant must
+/// agree with `baseline` on every target.
+#[test]
+fn full_register_reads_of_non_canonical_joins_match_baseline() {
+    let mut rng = sxe_ir::rng::XorShift::new(0x5eed_f011);
+    let oracle = sxe_vm::OracleConfig::new().runs(4).fuel(FUEL);
+    for op in ["shr", "div", "rem"] {
+        for ty in ["i8", "i16", "i32"] {
+            for masked in [false, true] {
+                let join = [non_canonical(&mut rng), non_canonical(&mut rng)];
+                let rhs = match op {
+                    "shr" => rng.range_i64(1, 31),
+                    _ => rng.range_i64(2, 1 << 12) * if rng.flip() { 1 } else { -1 },
+                };
+                let mask = masked.then(|| rng.range_i64(1, i64::from(i32::MAX)));
+                let text = full_register_read_module(op, ty, join, rhs, mask);
+                let m = sxe_ir::parse_module(&text).expect("parses");
+                for target in Target::ALL {
+                    let compile = |variant: Variant| {
+                        let compiler = Compiler::builder(variant).target(target).build();
+                        compiler.try_compile(&m).expect("compiles").module
+                    };
+                    let baseline = compile(Variant::Baseline);
+                    for variant in Variant::ALL {
+                        let compiled = compile(variant);
+                        if let Err(e) =
+                            sxe_vm::differential_check(&baseline, &compiled, target, &oracle)
+                        {
+                            panic!("{variant} on {target} disagrees with baseline: {e}\n{text}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

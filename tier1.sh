@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Tier-1 gate: build, full test suite, lints on the robustness- and
-# sharding-touched crates, rustdoc with warnings denied (no doc link to
-# a deleted or private item), a release build of the perfbench
-# benchmark (it pins the compiler API it drives), the sharded-compile
-# determinism check, the fault-injection (chaos) smoke sweep, the
-# telemetry gate (schema-valid metrics export, disabled-sink output
+# Tier-1 gate: build, full test suite (which includes the sharded-compile
+# determinism check, tests/it/parallel.rs), clippy on the whole
+# workspace, rustdoc with warnings denied (no doc link to a deleted or
+# private item), a release build of the perfbench benchmark (it pins
+# the compiler API it drives), the fault-injection (chaos) smoke sweep,
+# the telemetry gate (schema-valid metrics export, disabled-sink output
 # determinism), and the fuzz gate
 # (clean smoke campaign, planted-miscompile self-test with a minimized
 # reproducer, thread-count independence of findings), and the serve gate
@@ -28,7 +28,7 @@
 # included).
 #
 #   ./tier1.sh            # everything
-#   ./tier1.sh --fast     # skip the determinism/chaos/telemetry/fuzz/serve sweeps
+#   ./tier1.sh --fast     # skip the chaos/telemetry/fuzz/serve/VM/native sweeps
 set -eu
 
 cd "$(dirname "$0")"
@@ -39,10 +39,8 @@ cargo build --release
 echo "== tier1: cargo test -q"
 cargo test -q
 
-echo "== tier1: clippy -D warnings (touched crates)"
-cargo clippy -q -p sxe-ir -p sxe-analysis -p sxe-core -p sxe-opt -p sxe-vm \
-    -p sxe-jit -p sxe-bench -p sxe-telemetry -p sxe-fuzz -p sxe-serve \
-    -p sxe-native -p xelim-integration-tests --all-targets -- -D warnings
+echo "== tier1: clippy -D warnings (whole workspace)"
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "== tier1: rustdoc -D warnings (doc links must resolve)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
@@ -51,9 +49,6 @@ echo "== tier1: perfbench release build (the benchmark's pinned API still compil
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 if [ "${1:-}" != "--fast" ]; then
-    echo "== tier1: sharded determinism (threads 1 vs 4, 17 workloads)"
-    cargo run -q --release -p sxe-bench --bin throughput -- --check --scale 0.05
-
     echo "== tier1: chaos smoke (17 workloads x 32 fault seeds, 4 workers)"
     cargo run -q --release -p sxe-bench --bin chaos -- --seeds 32 --scale 0.05 --threads 4
 
