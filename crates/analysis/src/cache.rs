@@ -13,7 +13,8 @@
 //!   function is unchanged, and recomputes (then re-memoizes) otherwise;
 //! * "unchanged" has one definition: every query validates the entry
 //!   once against a snapshot of the body its facts describe — one
-//!   structural comparison, exact to the bit of every float constant.
+//!   structural comparison ([`Function::same_body`]), exact to the bit
+//!   of every float constant.
 //!   A mismatch (a pass rewrote the body, or a rollback restored an
 //!   older one) drops the facts and counts an invalidation. Rewriting
 //!   passes therefore tell the cache nothing. The snapshot is cloned
@@ -44,7 +45,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sxe_ir::{Cfg, Function, Inst};
+use sxe_ir::{Cfg, Function};
 use sxe_telemetry::Lane;
 
 use crate::liveness::Liveness;
@@ -80,32 +81,6 @@ struct Entry {
     cfg: Option<Arc<Cfg>>,
     liveness: Option<Arc<Liveness>>,
     udu: Option<Arc<UdDu>>,
-}
-
-/// Whether `f` is still the body `snapshot` was taken of: same register
-/// high-water mark, signature, blocks and instructions, `nop` tombstones
-/// included (so [`InstId`](sxe_ir::InstId)-keyed facts stay keyed
-/// correctly). The name is the cache key, so it is equal already.
-fn same_body(snapshot: &Function, f: &Function) -> bool {
-    snapshot.reg_count == f.reg_count
-        && snapshot.params == f.params
-        && snapshot.ret == f.ret
-        && snapshot.blocks.len() == f.blocks.len()
-        && snapshot.blocks.iter().zip(&f.blocks).all(|(a, b)| {
-            a.insts.len() == b.insts.len()
-                && a.insts.iter().zip(&b.insts).all(|(x, y)| same_inst(x, y))
-        })
-}
-
-/// Instruction equality with float constants compared bit for bit: a
-/// derived `==` holds no `NaN` equal to itself and `0.0` equal to `-0.0`.
-fn same_inst(a: &Inst, b: &Inst) -> bool {
-    match (a, b) {
-        (Inst::ConstF { dst: da, value: va }, Inst::ConstF { dst: db, value: vb }) => {
-            da == db && va.to_bits() == vb.to_bits()
-        }
-        _ => a == b,
-    }
 }
 
 /// The effectiveness counters and the trace lane, kept apart from the
@@ -233,7 +208,7 @@ impl AnalysisCache {
         }
         let e = self.entries.get_mut(&f.name).expect("entry inserted above");
         match &e.snapshot {
-            Some(snapshot) if same_body(snapshot, f) => {}
+            Some(snapshot) if snapshot.same_body(f) => {}
             stale => {
                 if stale.is_some() {
                     *e = Entry::default();

@@ -276,6 +276,34 @@ impl Function {
         let _ = write!(h, "{self}#regs={}", self.reg_count);
         h.0
     }
+
+    /// Whether `self` has exactly the body of `other`: same register
+    /// high-water mark, signature, blocks and instructions, `nop`
+    /// tombstones included (so [`InstId`]-keyed facts stay keyed
+    /// correctly). Float constants compare bit for bit: a derived `==`
+    /// holds no `NaN` equal to itself and `0.0` equal to `-0.0`. The name
+    /// is not compared.
+    #[must_use]
+    pub fn same_body(&self, other: &Function) -> bool {
+        self.reg_count == other.reg_count
+            && self.params == other.params
+            && self.ret == other.ret
+            && self.blocks.len() == other.blocks.len()
+            && self.blocks.iter().zip(&other.blocks).all(|(a, b)| {
+                a.insts.len() == b.insts.len()
+                    && a.insts.iter().zip(&b.insts).all(|(x, y)| same_inst(x, y))
+            })
+    }
+}
+
+/// Instruction equality with float constants compared bit for bit.
+fn same_inst(a: &Inst, b: &Inst) -> bool {
+    match (a, b) {
+        (Inst::ConstF { dst: da, value: va }, Inst::ConstF { dst: db, value: vb }) => {
+            da == db && va.to_bits() == vb.to_bits()
+        }
+        _ => a == b,
+    }
 }
 
 /// A module: a set of functions that may call each other.
@@ -503,6 +531,40 @@ mod tests {
         let mut h = sample();
         h.new_reg();
         assert_ne!(fp, h.fingerprint());
+    }
+
+    #[test]
+    fn same_body_compares_float_constants_by_bits() {
+        let with = |value: f64| {
+            let mut f = Function::new("t", vec![], Some(Ty::F64));
+            let r = f.new_reg();
+            let b = f.entry();
+            f.block_mut(b).insts.push(Inst::ConstF { dst: r, value });
+            f.block_mut(b).insts.push(Inst::Ret { value: Some(r) });
+            f
+        };
+        assert!(with(f64::NAN).same_body(&with(f64::NAN)), "NaN equals itself");
+        assert!(!with(0.0).same_body(&with(-0.0)), "0.0 and -0.0 differ");
+        assert!(with(-0.0).same_body(&with(-0.0)));
+        assert!(!with(1.0).same_body(&with(2.0)));
+    }
+
+    #[test]
+    fn same_body_sees_tombstones_and_register_bumps_but_not_names() {
+        let f = sample();
+        assert!(f.same_body(&sample()));
+
+        let mut tomb = sample();
+        tomb.delete_inst(InstId::new(tomb.entry(), 1));
+        assert!(!tomb.same_body(&f), "a nop tombstone is a change");
+
+        let mut bumped = sample();
+        bumped.new_reg();
+        assert!(!bumped.same_body(&f), "a reg_count bump alone is a change");
+
+        let mut renamed = sample();
+        renamed.name = "u".into();
+        assert!(renamed.same_body(&f), "names are not compared");
     }
 
     #[test]

@@ -79,6 +79,9 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
     if f.blocks.is_empty() {
         return Err(fail(None, "function has no blocks".into()));
     }
+    // One buffer for every instruction's uses, here and in definite
+    // assignment: `Inst::uses` would allocate per instruction.
+    let mut uses = Vec::new();
     for b in f.block_ids() {
         let blk = f.block(b);
         let Some(term) = blk.insts.last() else {
@@ -100,7 +103,9 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
                     return Err(fail(Some(at), format!("branch to missing block {t}")));
                 }
             }
-            for r in inst.uses() {
+            uses.clear();
+            inst.collect_uses(&mut uses);
+            for &r in &uses {
                 if r.0 >= f.reg_count {
                     return Err(fail(Some(at), format!("use of unallocated register {r}")));
                 }
@@ -124,7 +129,7 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
             check_width_consistency(inst).map_err(|m| fail(Some(at), m))?;
         }
     }
-    check_definite_assignment(f, &fail)?;
+    check_definite_assignment(f, &mut uses, &fail)?;
     Ok(())
 }
 
@@ -157,8 +162,13 @@ fn check_width_consistency(inst: &Inst) -> Result<(), String> {
 /// def) must occur first. Forward must-dataflow over the reachable CFG
 /// with bitsets; unreachable blocks are skipped (they execute never and
 /// routinely hold dead code mid-pipeline).
+///
+/// Every block's OUT set lives in one flat `words × blocks` buffer, and
+/// each block's IN set is refilled in place in one reused `cur` buffer,
+/// so an iteration allocates nothing; `uses` is a scratch buffer.
 fn check_definite_assignment(
     f: &Function,
+    uses: &mut Vec<crate::Reg>,
     fail: &dyn Fn(Option<InstId>, String) -> VerifyError,
 ) -> Result<(), VerifyError> {
     let cfg = Cfg::compute(f);
@@ -166,58 +176,56 @@ fn check_definite_assignment(
     let set = |bits: &mut [u64], r: u32| bits[r as usize / 64] |= 1 << (r % 64);
     let test = |bits: &[u64], r: u32| bits[r as usize / 64] >> (r % 64) & 1 == 1;
 
-    let mut entry_in = vec![0u64; words];
-    for &(r, _) in &f.params {
-        set(&mut entry_in, r.0);
-    }
-
-    // OUT[b]; `None` means "not yet computed" (the must-analysis top:
-    // universal set).
-    let mut out: Vec<Option<Vec<u64>>> = vec![None; f.blocks.len()];
-    let block_in = |out: &[Option<Vec<u64>>], b: crate::BlockId| -> Vec<u64> {
+    // OUT[b] is `out[b * words..][..words]`, valid once `done[b]`; until
+    // then it is the must-analysis top (the universal set).
+    let mut out = vec![0u64; words * f.blocks.len()];
+    let mut done = vec![false; f.blocks.len()];
+    let mut cur = vec![0u64; words];
+    // IN[b] into `cur`: the parameters at the entry; elsewhere the
+    // universal set narrowed by every computed predecessor's OUT.
+    let block_in = |out: &[u64], done: &[bool], b: crate::BlockId, cur: &mut [u64]| {
         if b == f.entry() {
-            return entry_in.clone();
+            cur.fill(0);
+            for &(r, _) in &f.params {
+                set(cur, r.0);
+            }
+            return;
         }
-        let mut acc: Option<Vec<u64>> = None;
+        cur.fill(u64::MAX);
         for &p in cfg.preds(b) {
-            if let Some(po) = &out[p.index()] {
-                acc = Some(match acc {
-                    None => po.clone(),
-                    Some(mut a) => {
-                        for (aw, pw) in a.iter_mut().zip(po) {
-                            *aw &= pw;
-                        }
-                        a
-                    }
-                });
+            if done[p.index()] {
+                for (c, o) in cur.iter_mut().zip(&out[p.index() * words..][..words]) {
+                    *c &= o;
+                }
             }
         }
-        // No computed predecessor yet: start from the universal set so the
-        // intersection can only shrink.
-        acc.unwrap_or_else(|| vec![u64::MAX; words])
     };
 
     let mut changed = true;
     while changed {
         changed = false;
         for &b in cfg.rpo() {
-            let mut cur = block_in(&out, b);
+            block_in(&out, &done, b, &mut cur);
             for inst in &f.block(b).insts {
                 if let Some(d) = inst.dst() {
                     set(&mut cur, d.0);
                 }
             }
-            if out[b.index()].as_ref() != Some(&cur) {
-                out[b.index()] = Some(cur);
+            let slot = &mut out[b.index() * words..][..words];
+            if !done[b.index()] || *slot != *cur {
+                slot.copy_from_slice(&cur);
+                done[b.index()] = true;
                 changed = true;
             }
         }
     }
 
     for &b in cfg.rpo() {
-        let mut cur = block_in(&out, b);
+        block_in(&out, &done, b, &mut cur);
         for (i, inst) in f.block(b).insts.iter().enumerate() {
-            for r in inst.uses() {
+            uses.clear();
+            inst.collect_uses(uses);
+            for &r in uses.iter() {
                 if !test(&cur, r.0) {
                     return Err(fail(
                         Some(InstId::new(b, i)),
@@ -287,6 +295,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::inst::{BlockId, Reg};
+    use crate::rng::XorShift;
     use crate::types::Ty;
 
     #[test]
@@ -380,10 +389,9 @@ mod tests {
         assert_eq!(e.message, "use of r0 before definite assignment");
     }
 
-    #[test]
-    fn use_defined_on_one_path_only() {
-        // b0: condbr p, b1, b2 ; b1 defines r1 then joins; b2 joins
-        // directly; the join uses r1 — not definitely assigned.
+    /// b0: condbr p, b1, b2 ; b1 defines r1 then joins; b2 joins
+    /// directly; the join uses r1 — not definitely assigned.
+    fn defined_on_one_path_only() -> Function {
         let mut f = Function::new("bad", vec![Ty::I32], Some(Ty::I32));
         f.reg_count = 2;
         let b1 = f.new_block();
@@ -401,13 +409,17 @@ mod tests {
         f.block_mut(b1).insts.push(Inst::Br { target: b3 });
         f.block_mut(b2).insts.push(Inst::Br { target: b3 });
         f.block_mut(b3).insts.push(Inst::Ret { value: Some(Reg(1)) });
-        let e = verify_function(&f).unwrap_err();
-        assert_eq!(e.message, "use of r1 before definite assignment");
-        assert_eq!(e.at, Some(InstId::new(b3, 0)));
+        f
     }
 
     #[test]
-    fn use_defined_on_both_paths_ok() {
+    fn use_defined_on_one_path_only() {
+        let e = verify_function(&defined_on_one_path_only()).unwrap_err();
+        assert_eq!(e.message, "use of r1 before definite assignment");
+        assert_eq!(e.at, Some(InstId::new(BlockId(3), 0)));
+    }
+
+    fn defined_on_both_paths() -> Function {
         let mut b = FunctionBuilder::new("ok", vec![Ty::I32], Some(Ty::I32));
         let p = b.param(0);
         let t = b.new_block();
@@ -424,21 +436,216 @@ mod tests {
         b.br(j);
         b.switch_to(j);
         b.ret(Some(out));
-        assert!(verify_function(&b.finish()).is_ok());
+        b.finish()
     }
 
     #[test]
-    fn loop_carried_definition_ok() {
-        // r1 defined before the loop, redefined inside, used after: the
-        // back edge must not confuse the must-analysis.
-        let f = crate::parse_function(
+    fn use_defined_on_both_paths_ok() {
+        assert!(verify_function(&defined_on_both_paths()).is_ok());
+    }
+
+    /// r1 defined before the loop, redefined inside, used after: the
+    /// back edge must not confuse the must-analysis.
+    fn loop_carried_definition() -> Function {
+        crate::parse_function(
             "func @f(i32) -> i32 {\n\
              b0:\n    r1 = const.i32 0\n    br b1\n\
              b1:\n    r2 = const.i32 1\n    r1 = add.i32 r1, r2\n    condbr gt.i32 r0, r1, b1, b2\n\
              b2:\n    ret r1\n}\n",
         )
-        .unwrap();
-        assert!(verify_function(&f).is_ok());
+        .unwrap()
+    }
+
+    #[test]
+    fn loop_carried_definition_ok() {
+        assert!(verify_function(&loop_carried_definition()).is_ok());
+    }
+
+    /// The clone-per-block definite assignment that the flat-buffer
+    /// [`check_definite_assignment`] replaced, kept as its test oracle:
+    /// the same must-dataflow, with `OUT[b]` as an optional bitset cloned
+    /// for every block on every iteration.
+    fn check_definite_assignment_oracle(
+        f: &Function,
+        fail: &dyn Fn(Option<InstId>, String) -> VerifyError,
+    ) -> Result<(), VerifyError> {
+        let cfg = Cfg::compute(f);
+        let words = (f.reg_count as usize).div_ceil(64);
+        let set = |bits: &mut [u64], r: u32| bits[r as usize / 64] |= 1 << (r % 64);
+        let test = |bits: &[u64], r: u32| bits[r as usize / 64] >> (r % 64) & 1 == 1;
+
+        let mut entry_in = vec![0u64; words];
+        for &(r, _) in &f.params {
+            set(&mut entry_in, r.0);
+        }
+
+        // OUT[b]; `None` means "not yet computed" (the must-analysis top:
+        // universal set).
+        let mut out: Vec<Option<Vec<u64>>> = vec![None; f.blocks.len()];
+        let block_in = |out: &[Option<Vec<u64>>], b: crate::BlockId| -> Vec<u64> {
+            if b == f.entry() {
+                return entry_in.clone();
+            }
+            let mut acc: Option<Vec<u64>> = None;
+            for &p in cfg.preds(b) {
+                if let Some(po) = &out[p.index()] {
+                    acc = Some(match acc {
+                        None => po.clone(),
+                        Some(mut a) => {
+                            for (aw, pw) in a.iter_mut().zip(po) {
+                                *aw &= pw;
+                            }
+                            a
+                        }
+                    });
+                }
+            }
+            // No computed predecessor yet: start from the universal set so the
+            // intersection can only shrink.
+            acc.unwrap_or_else(|| vec![u64::MAX; words])
+        };
+
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in cfg.rpo() {
+                let mut cur = block_in(&out, b);
+                for inst in &f.block(b).insts {
+                    if let Some(d) = inst.dst() {
+                        set(&mut cur, d.0);
+                    }
+                }
+                if out[b.index()].as_ref() != Some(&cur) {
+                    out[b.index()] = Some(cur);
+                    changed = true;
+                }
+            }
+        }
+
+        for &b in cfg.rpo() {
+            let mut cur = block_in(&out, b);
+            for (i, inst) in f.block(b).insts.iter().enumerate() {
+                for r in inst.uses() {
+                    if !test(&cur, r.0) {
+                        return Err(fail(
+                            Some(InstId::new(b, i)),
+                            format!("use of {r} before definite assignment"),
+                        ));
+                    }
+                }
+                if let Some(d) = inst.dst() {
+                    set(&mut cur, d.0);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Both implementations on `f`, with the error `verify_function`
+    /// would build.
+    fn flat_and_oracle(f: &Function) -> (Result<(), VerifyError>, Result<(), VerifyError>) {
+        let fail = |at: Option<InstId>, message: String| VerifyError {
+            function: f.name.clone(),
+            at,
+            message,
+            pass: None,
+        };
+        (
+            check_definite_assignment(f, &mut Vec::new(), &fail),
+            check_definite_assignment_oracle(f, &fail),
+        )
+    }
+
+    #[test]
+    fn flat_buffer_matches_the_oracle_on_the_unit_functions() {
+        let use_before_def = {
+            let mut f = Function::new("bad", vec![], Some(Ty::I32));
+            f.reg_count = 1;
+            f.block_mut(BlockId(0)).insts.push(Inst::Ret { value: Some(Reg(0)) });
+            f
+        };
+        let good = {
+            let mut b = FunctionBuilder::new("ok", vec![Ty::I32], Some(Ty::I32));
+            let p = b.param(0);
+            b.ret(Some(p));
+            b.finish()
+        };
+        let fns = [
+            good,
+            use_before_def,
+            defined_on_one_path_only(),
+            defined_on_both_paths(),
+            loop_carried_definition(),
+        ];
+        for f in &fns {
+            let (flat, oracle) = flat_and_oracle(f);
+            assert_eq!(flat, oracle, "{f}");
+        }
+    }
+
+    /// A random CFG of up to 8 blocks over up to 130 registers (so sets
+    /// span three words). Defs and uses draw from a small pool of
+    /// registers, so some functions verify and some do not.
+    fn random_cfg(rng: &mut XorShift) -> Function {
+        let params = rng.index(3);
+        let mut f = Function::new("r", vec![Ty::I64; params], Some(Ty::I64));
+        f.reg_count = (params + 1 + rng.index(130)) as u32;
+        let pool: Vec<Reg> = {
+            let n = f.reg_count;
+            let mut pool: Vec<Reg> = (0..n.min(4)).map(Reg).collect();
+            pool.push(Reg(n - 1));
+            pool.push(Reg(n / 2));
+            pool
+        };
+        let blocks = 1 + rng.index(8);
+        for _ in 1..blocks {
+            f.new_block();
+        }
+        for b in 0..blocks {
+            let insts = &mut f.blocks[b].insts;
+            for _ in 0..rng.index(5) {
+                let dst = *rng.choose(&pool);
+                insts.push(if rng.chance(1, 2) {
+                    Inst::Const { dst, value: 1, ty: Ty::I64 }
+                } else {
+                    Inst::Copy { dst, src: *rng.choose(&pool), ty: Ty::I64 }
+                });
+                if rng.chance(1, 8) {
+                    insts.push(Inst::Nop);
+                }
+            }
+            let target = |rng: &mut XorShift| BlockId(rng.index(blocks) as u32);
+            insts.push(match rng.index(3) {
+                0 => Inst::Br { target: target(rng) },
+                1 => Inst::CondBr {
+                    cond: crate::Cond::Lt,
+                    ty: Ty::I64,
+                    lhs: *rng.choose(&pool),
+                    rhs: *rng.choose(&pool),
+                    then_bb: target(rng),
+                    else_bb: target(rng),
+                },
+                _ => Inst::Ret { value: Some(*rng.choose(&pool)) },
+            });
+        }
+        f
+    }
+
+    #[test]
+    fn flat_buffer_matches_the_oracle_on_random_cfgs() {
+        let mut rng = XorShift::new(0x00da_5eed);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..400 {
+            let f = random_cfg(&mut rng);
+            let (flat, oracle) = flat_and_oracle(&f);
+            assert_eq!(flat, oracle, "case {case}:\n{f}");
+            if flat.is_ok() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(accepted >= 40 && rejected >= 40, "{accepted} accepted, {rejected} rejected");
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!    for the rest of the compilation;
 //! 3. the output is checked by the verification gate
 //!    ([`sxe_ir::verify_function`] / [`sxe_ir::verify_module`]) — a gate failure
-//!    rolls back and disables exactly like a panic;
+//!    rolls back and disables exactly like a panic. An output exactly
+//!    equal to its snapshot ([`Function::same_body`]) skips the gate: a
+//!    boundary's input is always verifier-clean, so an unchanged body
+//!    has nothing left to check (the argument is on `run_boundary`);
 //! 4. an exhausted [`Budget`] skips the body entirely, keeping the
 //!    current (already verified) IR: the pipeline salvages rather than
 //!    aborts.
@@ -82,6 +85,29 @@ impl FaultPlan {
     #[must_use]
     pub fn miscompile(seed: u64, boundary: u32) -> FaultPlan {
         FaultPlan { seed, miscompile_at: Some(boundary), ..FaultPlan::default() }
+    }
+}
+
+/// A boundary target the gate can compare with its snapshot.
+pub(crate) trait Unchanged {
+    /// Whether `self` is exactly `snapshot`: nothing for the gate to check.
+    fn unchanged_from(&self, snapshot: &Self) -> bool;
+}
+
+impl Unchanged for Function {
+    fn unchanged_from(&self, snapshot: &Function) -> bool {
+        self.same_body(snapshot)
+    }
+}
+
+impl Unchanged for Module {
+    fn unchanged_from(&self, snapshot: &Module) -> bool {
+        self.functions.len() == snapshot.functions.len()
+            && self
+                .functions
+                .iter()
+                .zip(&snapshot.functions)
+                .all(|(f, s)| f.name == s.name && f.same_body(s))
     }
 }
 
@@ -251,7 +277,29 @@ impl<'a> Harness<'a> {
     /// result when the pass ran to completion and its output verified,
     /// `None` when the pass was skipped, rolled back, or budget-stopped —
     /// in which case `target` holds the last-good IR.
-    pub(crate) fn run_boundary<T: Clone + Miscompilable, R>(
+    ///
+    /// The gate runs `verify` only when the output differs from the
+    /// snapshot; an unchanged output records `Ok` and counts in
+    /// [`CompileReport::gates_skipped`]. That is sound because:
+    ///
+    /// * every boundary's input is verifier-clean. The source is verified
+    ///   on entry (`Compiler.verify`, on by default), and every
+    ///   boundary's output is either verified or rolled back to a
+    ///   snapshot that was. `Function::compact` and `strip_dummies`,
+    ///   which run between boundaries, only remove `nop`s and markers,
+    ///   so they keep this property;
+    /// * the comparison runs *after* `corrupt`, and every
+    ///   [`corrupt_function`] shape changes the body, so an injected
+    ///   corruption never counts as unchanged.
+    ///
+    /// With `verify(false)` the source is never verified, so an invalid
+    /// source breaks the first point. A boundary whose body changes
+    /// nothing then records `Ok` where verifying would record
+    /// `RolledBack(Verify)`; the boundary leaves the same IR either way.
+    /// The pass stays enabled, and whatever it changes in a later round
+    /// is verified as usual, so each shipped body is still either the
+    /// unverified source or a verified output.
+    pub(crate) fn run_boundary<T: Clone + Miscompilable + Unchanged, R>(
         &mut self,
         name: &str,
         function: Option<&str>,
@@ -348,7 +396,13 @@ impl<'a> Harness<'a> {
             injected = Some(InjectedFault::Corrupt);
         }
 
-        match verify(target) {
+        let gate = if target.unchanged_from(&snapshot) {
+            self.report.gates_skipped += 1;
+            Ok(())
+        } else {
+            verify(target)
+        };
+        match gate {
             Ok(()) => {
                 // The plant fires only after the gate passed: the shipped
                 // IR is verifier-clean and semantically wrong, on purpose.
@@ -421,11 +475,14 @@ pub(crate) fn corrupt_function(f: &mut Function, rng: &mut XorShift) {
             }
         }
         _ => {
-            // Introduce a use of a register no path ever defines.
+            // Introduce a use of a register no path ever defines. It goes
+            // in the entry block, which is always reachable: definite
+            // assignment skips unreachable blocks, so a use planted in one
+            // would pass the gate.
             let dst = Reg(f.reg_count);
             let undefined = Reg(f.reg_count + 1);
             f.reg_count += 2;
-            let blk = f.block_mut(b);
+            let blk = f.block_mut(f.entry());
             let at = blk.insts.len().saturating_sub(1);
             blk.insts.insert(at, Inst::Copy { dst, src: undefined, ty: Ty::I64 });
         }
@@ -460,11 +517,22 @@ mod tests {
 
     #[test]
     fn every_corruption_shape_fails_the_gate() {
-        for seed in 0..64u64 {
-            let mut f = sample();
-            let mut rng = XorShift::new(seed);
-            corrupt_function(&mut f, &mut rng);
-            assert!(verify_function(&f).is_err(), "seed {seed} produced verifying IR:\n{f}");
+        // The second function holds an unreachable block, which definite
+        // assignment does not look at.
+        let unreachable = parse_function(
+            "func @g(i32) -> i32 {\n\
+             b0:\n    br b2\n\
+             b1:\n    br b2\n\
+             b2:\n    ret r0\n}\n",
+        )
+        .unwrap();
+        for g in [sample(), unreachable] {
+            for seed in 0..64u64 {
+                let mut f = g.clone();
+                let mut rng = XorShift::new(seed);
+                corrupt_function(&mut f, &mut rng);
+                assert!(verify_function(&f).is_err(), "seed {seed} produced verifying IR:\n{f}");
+            }
         }
     }
 
@@ -527,6 +595,73 @@ mod tests {
             }
             other => panic!("unexpected status {other:?}"),
         }
+    }
+
+    #[test]
+    fn unchanged_body_skips_the_gate() {
+        let shared = SharedState::new(None, Budget::unlimited(), None);
+        let mut h = Harness::new(&shared, "test");
+        let mut f = sample();
+        let calls = Cell::new(0);
+        let counting = |f: &Function| {
+            calls.set(calls.get() + 1);
+            verify_function(f)
+        };
+        let out = h.run_boundary("idle", Some("f"), &mut f, counting, corrupt_nothing, |_, _| 3);
+        assert_eq!(out, Some(3));
+        assert_eq!(calls.get(), 0, "an unchanged body is not re-verified");
+        assert_eq!(h.report.records[0].status, PassStatus::Ok);
+        assert_eq!(h.report.gates_skipped, 1);
+
+        // A body that changes anything, even only the register count, is.
+        let out = h.run_boundary("busy", Some("f"), &mut f, counting, corrupt_nothing, |f, _| {
+            f.new_reg();
+        });
+        assert_eq!(out, Some(()));
+        assert_eq!(calls.get(), 1);
+        assert_eq!(h.report.gates_skipped, 1);
+    }
+
+    #[test]
+    fn corrupting_an_unchanged_body_still_fails_the_gate() {
+        for seed in 0..16 {
+            let plan = FaultPlan { seed, corrupt_at: Some(0), ..FaultPlan::default() };
+            let shared = SharedState::new(Some(plan), Budget::unlimited(), None);
+            let mut h = Harness::new(&shared, "test");
+            let mut f = sample();
+            let before = f.clone();
+            let out = h.run_boundary(
+                "idle",
+                Some("f"),
+                &mut f,
+                verify_function,
+                corrupt_function,
+                |_, _| 1,
+            );
+            assert_eq!(out, None, "seed {seed}");
+            assert_eq!(f, before, "seed {seed}: rolled back");
+            let rec = &h.report.records[0];
+            assert_eq!(rec.injected, Some(InjectedFault::Corrupt), "seed {seed}");
+            assert!(
+                matches!(rec.status, PassStatus::RolledBack(RollbackCause::Verify(_))),
+                "seed {seed}: {:?}",
+                rec.status
+            );
+            assert_eq!(h.report.gates_skipped, 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn module_with_a_renamed_function_is_changed() {
+        let mut m = Module::new();
+        m.add_function(sample());
+        let snapshot = m.clone();
+        assert!(m.unchanged_from(&snapshot));
+        m.functions[0].name = "g".into();
+        assert!(!m.unchanged_from(&snapshot));
+        m.functions[0].name = "f".into();
+        m.add_function(sample());
+        assert!(!m.unchanged_from(&snapshot));
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub struct Compiler {
     pub general: GeneralOpts,
     /// Verify the module before and after compilation (cheap; on by
     /// default). Independent of the per-pass verification gates, which
-    /// always run.
+    /// run on every boundary that changed its body.
     pub verify: bool,
     /// Compile budget in fuel units (one unit per pass boundary, one per
     /// extension examined by elimination). `None` = unlimited.
@@ -436,6 +436,7 @@ fn record_compile_metrics(
     m.add("cache.miss", cache.misses);
     m.add("cache.invalidation", cache.invalidations);
     m.add("compile.boundaries", report.boundaries() as u64);
+    m.add("compile.gates_skipped", report.gates_skipped as u64);
     m.add("compile.rollbacks", report.rollbacks().count() as u64);
     m.add("compile.incidents", report.incidents() as u64);
     // The fuel model: one unit per boundary whose body actually ran

@@ -134,15 +134,19 @@ pub struct CompileReport {
     /// The compile budget ran out at some point (whether injected or
     /// genuine); the emitted module is a verified partial optimization.
     pub budget_exhausted: bool,
+    /// Boundaries whose output equalled their snapshot, so the
+    /// verification gate had nothing to check and did not run.
+    pub gates_skipped: usize,
 }
 
 impl CompileReport {
     /// Fold another account (e.g. one shard's, or one function's) into
-    /// this one: records are appended in order and the budget flag is
-    /// sticky.
+    /// this one: records are appended in order, the budget flag is
+    /// sticky, and skipped gates add up.
     pub fn absorb(&mut self, other: CompileReport) {
         self.records.extend(other.records);
         self.budget_exhausted |= other.budget_exhausted;
+        self.gates_skipped += other.gates_skipped;
     }
 
     /// Number of containment boundaries crossed.

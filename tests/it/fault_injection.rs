@@ -9,7 +9,7 @@ use std::panic::{self, AssertUnwindSafe};
 
 use sxe_core::Variant;
 use sxe_ir::Target;
-use sxe_jit::{CompileError, Compiler, FaultPlan, InjectedFault, PassStatus};
+use sxe_jit::{CompileError, Compiler, FaultPlan, InjectedFault, PassStatus, RollbackCause};
 use sxe_vm::{differential_check, OracleConfig};
 use xelim_integration_tests::gen;
 
@@ -116,6 +116,52 @@ fn each_fault_kind_is_visible_in_the_report() {
         }
     }
     assert_eq!(kinds_seen, [true; 3], "64 seeds cover all three fault kinds");
+}
+
+/// Every boundary, corrupted in turn: one kernel and one generated
+/// program, `corrupt_at` swept over every ordinal of a sequential
+/// compile. Boundaries that leave the body unchanged skip the
+/// verification gate, so this reaches each of them deterministically,
+/// where the seeded plans above may miss some: the corruption must still
+/// be the one injection, rolled back by the gate, and harmless.
+#[test]
+fn corrupting_every_boundary_is_caught_by_the_gate() {
+    let kernel = sxe_workloads::by_name("numeric sort").expect("known workload").build(40);
+    let generated =
+        gen::lower(&gen::program_corpus(0xfa17_0005, 1).next().expect("one case").1);
+    for (name, m) in [("numeric sort", kernel), ("generated", generated)] {
+        let reference = Compiler::for_variant(Variant::Baseline)
+            .try_compile(&m)
+            .expect("compiles")
+            .module;
+        let dry = Compiler::for_variant(Variant::All).try_compile(&m).expect("compiles");
+        assert!(dry.report.gates_skipped > 0, "{name}: some boundary left its body unchanged");
+        for k in 0..dry.report.boundaries() as u32 {
+            let plan = FaultPlan { seed: u64::from(k), corrupt_at: Some(k), ..FaultPlan::default() };
+            let compiled = Compiler::builder(Variant::All)
+                .fault_plan(plan)
+                .threads(1)
+                .build()
+                .try_compile(&m)
+                .unwrap_or_else(|e| panic!("{name} boundary {k}: compile refused: {e}"));
+            let injected: Vec<_> =
+                compiled.report.records.iter().filter(|r| r.injected.is_some()).collect();
+            assert_eq!(injected.len(), 1, "{name} boundary {k}: exactly one injection fires");
+            assert_eq!(injected[0].injected, Some(InjectedFault::Corrupt), "{name} boundary {k}");
+            assert!(
+                matches!(injected[0].status, PassStatus::RolledBack(RollbackCause::Verify(_))),
+                "{name} boundary {k}: corruption must fail the gate, got {:?}",
+                injected[0].status
+            );
+            differential_check(
+                &reference,
+                &compiled.module,
+                Target::Ia64,
+                &OracleConfig::new().runs(2),
+            )
+            .unwrap_or_else(|mis| panic!("{name} boundary {k}: oracle mismatch: {mis}"));
+        }
+    }
 }
 
 /// A fault-free compile with the same configuration stays clean and

@@ -177,6 +177,8 @@ fn metrics_reconcile_with_compiled_stats_and_validate() {
     );
     assert_eq!(m.counter("compile.boundaries"), compiled.report.boundaries() as u64);
     assert_eq!(m.counter("compile.incidents"), compiled.report.incidents() as u64);
+    assert_eq!(m.counter("compile.gates_skipped"), compiled.report.gates_skipped as u64);
+    assert!(compiled.report.gates_skipped > 0, "some boundary left its body unchanged");
     let rewrites: u64 = m
         .counters()
         .filter(|(k, _)| k.starts_with("opt.rewrites."))
