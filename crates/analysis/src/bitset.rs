@@ -94,6 +94,15 @@ impl BitSet {
         }
     }
 
+    /// `self = other`, reusing `self`'s storage.
+    ///
+    /// # Panics
+    /// Panics if the universes differ.
+    pub fn copy_from(&mut self, other: &BitSet) {
+        assert_eq!(self.len, other.len, "universe mismatch");
+        self.words.copy_from_slice(&other.words);
+    }
+
     /// Remove all elements.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);

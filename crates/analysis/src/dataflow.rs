@@ -80,7 +80,7 @@ pub fn solve(cfg: &Cfg, problem: &GenKillProblem) -> Solution {
         Meet::Intersection => full(),
     };
     let mut input: Vec<BitSet> = vec![init.clone(); n];
-    let mut output: Vec<BitSet> = vec![init; n];
+    let mut output: Vec<BitSet> = vec![init.clone(); n];
 
     // Process in an order that converges quickly.
     let order: Vec<BlockId> = match problem.direction {
@@ -98,23 +98,20 @@ pub fn solve(cfg: &Cfg, problem: &GenKillProblem) -> Solution {
         Direction::Backward => cfg.succs(b).is_empty(),
     };
 
+    // One scratch pair serves every visit: a visit that changes a block
+    // swaps its fresh sets in and takes the stale ones as scratch.
+    let mut new_in = empty();
+    let mut new_out = empty();
     let mut changed = true;
     while changed {
         changed = false;
         for &b in &order {
             // Meet over incoming edges.
-            let incoming: Vec<BlockId> = match problem.direction {
-                Direction::Forward => cfg.preds(b).to_vec(),
-                Direction::Backward => cfg.succs(b).to_vec(),
+            let incoming = match problem.direction {
+                Direction::Forward => cfg.preds(b),
+                Direction::Backward => cfg.succs(b),
             };
-            let mut new_in = if is_boundary(b) {
-                problem.boundary.clone()
-            } else {
-                match problem.meet {
-                    Meet::Union => empty(),
-                    Meet::Intersection => full(),
-                }
-            };
+            new_in.copy_from(if is_boundary(b) { &problem.boundary } else { &init });
             for p in incoming {
                 match problem.meet {
                     Meet::Union => {
@@ -126,12 +123,12 @@ pub fn solve(cfg: &Cfg, problem: &GenKillProblem) -> Solution {
                 }
             }
             // Transfer: out = gen ∪ (in − kill).
-            let mut new_out = new_in.clone();
+            new_out.copy_from(&new_in);
             new_out.subtract(&problem.kill[b.index()]);
             new_out.union_with(&problem.gen[b.index()]);
             if new_in != input[b.index()] || new_out != output[b.index()] {
-                input[b.index()] = new_in;
-                output[b.index()] = new_out;
+                std::mem::swap(&mut input[b.index()], &mut new_in);
+                std::mem::swap(&mut output[b.index()], &mut new_out);
                 changed = true;
             }
         }

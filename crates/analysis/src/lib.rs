@@ -43,6 +43,7 @@ mod freq;
 mod liveness;
 mod range;
 mod udu;
+mod udu_oracle;
 
 pub use bitset::BitSet;
 pub use cache::{AnalysisCache, CacheStats};
@@ -52,3 +53,5 @@ pub use flowrange::FlowRanges;
 pub use liveness::Liveness;
 pub use range::{binop_range, Interval};
 pub use udu::{DefId, DefSite, UdDu, UseKey};
+#[doc(hidden)]
+pub use udu_oracle::BTreeUdDu;

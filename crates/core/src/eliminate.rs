@@ -174,7 +174,7 @@ impl<'a> LazyFlowStates<'a> {
     /// the narrow range, so a block materialized after one was deleted
     /// can hold wider intervals than one materialized before, and the
     /// elimination count depends on the order blocks are first queried
-    /// (ROADMAP item 9).
+    /// (ROADMAP item 4).
     fn at(&self, f: &Function, id: InstId, r: Reg) -> Interval {
         if !self.enabled {
             return Interval::TOP;
@@ -252,7 +252,7 @@ impl<'a> Analysis<'a> {
             return false;
         };
         let mut required = false;
-        for (use_inst, reg) in self.udu.uses_of(def) {
+        for &(use_inst, reg) in self.udu.uses_of(def) {
             if self.analyze_use(use_inst, reg, true, via_array) {
                 required = true;
                 break;
@@ -305,7 +305,7 @@ impl<'a> Analysis<'a> {
                 let Some(d) = self.udu.def_of_inst(i) else {
                     return false;
                 };
-                for (j, jr) in self.udu.uses_of(d) {
+                for &(j, jr) in self.udu.uses_of(d) {
                     if self.analyze_use(j, jr, next_array, via_array) {
                         return true;
                     }
@@ -416,9 +416,8 @@ impl<'a> Analysis<'a> {
     /// analysis as already gone, so the guard still holds once it is
     /// deleted.
     fn full_register_def_range(&mut self, id: InstId, r: Reg) -> Option<Interval> {
-        let defs = self.udu.defs_reaching(id, r);
         let mut acc: Option<Interval> = None;
-        for d in defs {
+        for &d in self.udu.defs_reaching(id, r) {
             let DefSite::Inst(def_id) = self.udu.site(d) else { return None };
             let Inst::Bin { op, ty, lhs, rhs, .. } = *self.f.inst(def_id) else {
                 return None;
@@ -453,7 +452,7 @@ impl<'a> Analysis<'a> {
             return ExtFacts::NONE;
         }
         let mut acc = ExtFacts::NONNEG;
-        for d in defs {
+        for &d in defs {
             acc = acc.meet(self.def_facts_rec(d));
         }
         acc

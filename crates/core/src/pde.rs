@@ -14,7 +14,7 @@
 
 use sxe_analysis::{AvailableExt, BitSet};
 use sxe_analysis::dataflow::{solve, Direction, GenKillProblem, Meet};
-use sxe_ir::{Cfg, DomTree, Function, Inst, LoopForest, Target, Width};
+use sxe_ir::{BlockId, Cfg, DomTree, Function, Inst, LoopForest, Reg, Target, Width};
 
 use crate::convert::infer_kinds;
 use crate::insertion::{run_insertion, InsertionStats};
@@ -66,29 +66,26 @@ pub fn pde_insertion(f: &mut Function, target: Target, loops_only: bool) -> Inse
         },
     );
 
-    // Per-instruction reach sets.
-    let mut reach: Vec<Vec<BitSet>> = Vec::with_capacity(nblocks);
-    for b in f.block_ids() {
-        let mut cur = sol.block_in[b.index()].clone();
-        let mut per_inst = Vec::with_capacity(f.block(b).insts.len());
-        for inst in &f.block(b).insts {
-            per_inst.push(cur.clone());
-            if let Some(d) = inst.dst() {
-                match inst {
-                    Inst::Extend { .. } => {
-                        cur.insert(d.index());
-                    }
-                    _ => {
-                        cur.remove(d.index());
-                    }
-                }
-            }
-        }
-        reach.push(per_inst);
+    // The reach state before an instruction is decided by the last def
+    // of the register earlier in its block (an extension gens, any other
+    // def kills), or by the block's IN set when there is none. Record
+    // each instruction's def once, in one flat table, and answer
+    // queries by walking back from the query point.
+    let def = |inst: &Inst| inst.dst().map(|d| (d, matches!(inst, Inst::Extend { .. })));
+    let mut block_start = Vec::with_capacity(nblocks);
+    let mut defs: Vec<Option<(Reg, bool)>> = Vec::new();
+    for blk in &f.blocks {
+        block_start.push(defs.len());
+        defs.extend(blk.insts.iter().map(def));
     }
-
-    let may_reach = move |b: sxe_ir::BlockId, idx: usize, r: sxe_ir::Reg| -> bool {
-        reach[b.index()][idx].contains(r.index())
+    let block_in = sol.block_in;
+    let may_reach = move |b: BlockId, idx: usize, r: Reg| -> bool {
+        let start = block_start[b.index()];
+        let last_def = defs[start..start + idx].iter().rev().flatten().find(|&&(d, _)| d == r);
+        match last_def {
+            Some(&(_, is_extend)) => is_extend,
+            None => block_in[b.index()].contains(r.index()),
+        }
     };
     run_insertion(f, target, &kinds, &avail, insert_real, Some(&may_reach))
 }

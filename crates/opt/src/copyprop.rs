@@ -8,6 +8,7 @@ use sxe_ir::{Function, Inst, Reg};
 /// returns the number of operands rewritten.
 pub fn run(f: &mut Function) -> usize {
     let mut changed = 0;
+    let mut uses: Vec<Reg> = Vec::new();
     for b in 0..f.blocks.len() {
         // dst -> src mappings still valid at the cursor.
         let mut copies: HashMap<Reg, Reg> = HashMap::new();
@@ -17,8 +18,9 @@ pub fn run(f: &mut Function) -> usize {
                 continue;
             }
             // Rewrite uses through the valid mappings.
-            let uses = inst.uses();
-            for u in uses {
+            uses.clear();
+            inst.collect_uses(&mut uses);
+            for &u in &uses {
                 if let Some(&s) = copies.get(&u) {
                     if s != u {
                         inst.replace_uses(u, s);

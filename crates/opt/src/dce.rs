@@ -1,7 +1,7 @@
 //! Dead-code elimination based on liveness.
 
 use sxe_analysis::{AnalysisCache, BitSet, Liveness};
-use sxe_ir::{Cfg, Function, Inst};
+use sxe_ir::{Cfg, Function, Inst, Reg};
 
 /// Delete pure instructions whose destination is dead; returns the number
 /// removed. Iterates to a fixed point (removing one dead instruction can
@@ -25,6 +25,7 @@ pub fn run(f: &mut Function, cache: &mut AnalysisCache) -> usize {
 
 fn sweep(f: &mut Function, cfg: &Cfg, live: &Liveness) -> usize {
     let mut removed = 0;
+    let mut uses: Vec<Reg> = Vec::new();
     for b in f.block_ids().collect::<Vec<_>>() {
         if !cfg.is_reachable(b) {
             // Unreachable code is trivially dead (keep the terminator so
@@ -57,7 +58,9 @@ fn sweep(f: &mut Function, cfg: &Cfg, live: &Liveness) -> usize {
             if let Some(d) = inst.dst() {
                 live_set.remove(d.index());
             }
-            for u in inst.uses() {
+            uses.clear();
+            inst.collect_uses(&mut uses);
+            for u in &uses {
                 live_set.insert(u.index());
             }
         }

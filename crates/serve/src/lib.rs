@@ -125,7 +125,10 @@ b2:
     fn sequential_pings_wake_the_daemon_on_connect() {
         // Every request is a fresh connection, so an accept loop that
         // polled would add its poll interval to each one: a 5 ms poll
-        // needs about 500 ms here, a ping itself well under 1 ms.
+        // needs about 500 ms here, a ping itself well under 1 ms. The
+        // bound sits between the two with room for a loaded host (in a
+        // debug build beside other test binaries, 100 pings have taken
+        // up to 274 ms).
         let (server, client, dir) = start("pings", ServeConfig::default());
         client.ping().unwrap();
         let t0 = Instant::now();
@@ -136,7 +139,7 @@ b2:
         client.shutdown().unwrap();
         server.wait();
         std::fs::remove_dir_all(&dir).unwrap();
-        assert!(elapsed < Duration::from_millis(250), "100 sequential pings took {elapsed:?}");
+        assert!(elapsed < Duration::from_millis(400), "100 sequential pings took {elapsed:?}");
     }
 
     #[test]
