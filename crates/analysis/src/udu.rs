@@ -177,7 +177,6 @@ impl RegDefs {
 #[derive(Debug, Clone)]
 pub struct UdDu {
     defs: Vec<DefSite>,
-    def_reg: Vec<Reg>,
     removed: Vec<bool>,
     /// Per block, the flat index of its first instruction; one more
     /// entry closes the last block.
@@ -334,7 +333,6 @@ impl UdDu {
         UdDu {
             removed: vec![false; defs.len()],
             defs,
-            def_reg,
             block_base,
             inst_def,
             first_use,
@@ -376,15 +374,6 @@ impl UdDu {
     #[must_use]
     pub fn site(&self, d: DefId) -> DefSite {
         self.defs[d.index()]
-    }
-
-    /// The register defined by `d`.
-    ///
-    /// # Panics
-    /// Panics if `d` is out of range.
-    #[must_use]
-    pub fn reg_of(&self, d: DefId) -> Reg {
-        self.def_reg[d.index()]
     }
 
     /// Definitions reaching the use of `reg` at `inst`, ascending (empty

@@ -16,7 +16,6 @@ use crate::udu::{DefId, DefSite, UseKey};
 #[derive(Debug, Clone)]
 pub struct BTreeUdDu {
     defs: Vec<DefSite>,
-    def_reg: Vec<Reg>,
     removed: Vec<bool>,
     def_of_inst: BTreeMap<InstId, DefId>,
     ud: BTreeMap<UseKey, BTreeSet<DefId>>,
@@ -133,7 +132,6 @@ impl BTreeUdDu {
         BTreeUdDu {
             removed: vec![false; defs.len()],
             defs,
-            def_reg,
             def_of_inst,
             ud,
             du,
@@ -157,15 +155,6 @@ impl BTreeUdDu {
     #[must_use]
     pub fn site(&self, d: DefId) -> DefSite {
         self.defs[d.index()]
-    }
-
-    /// The register defined by `d`.
-    ///
-    /// # Panics
-    /// Panics if `d` is out of range.
-    #[must_use]
-    pub fn reg_of(&self, d: DefId) -> Reg {
-        self.def_reg[d.index()]
     }
 
     /// Definitions reaching the use of `reg` at `inst` (empty if `inst`

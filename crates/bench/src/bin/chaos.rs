@@ -17,8 +17,8 @@
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
-use sxe_bench::{chaos_sweep_with, Args};
-use sxe_jit::Telemetry;
+use sxe_bench::chaos_sweep;
+use sxe_jit::{cmdline::Args, Telemetry};
 
 const USAGE: &str = "usage: chaos [--seeds N] [--scale S] [--threads T] [--metrics FILE]";
 
@@ -47,7 +47,7 @@ fn main() -> ExitCode {
     );
     let telemetry =
         if metrics.is_some() { Telemetry::enabled() } else { Telemetry::disabled() };
-    let outcome = chaos_sweep_with(&names, scale, 0..seeds, threads, &telemetry);
+    let outcome = chaos_sweep(&names, scale, 0..seeds, threads, &telemetry);
     if let Some(path) = &metrics {
         if let Err(e) = std::fs::write(path, telemetry.metrics_json()) {
             eprintln!("chaos: cannot write {path}: {e}");

@@ -34,11 +34,11 @@
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
-use sxe_bench::Args;
 use sxe_fuzz::{
     check_module, generate_module, reduce, run_campaign, signature_of, Finding, FuzzConfig,
 };
 use sxe_ir::Target;
+use sxe_jit::cmdline::{Args, ReproCmd};
 use sxe_jit::Telemetry;
 
 const USAGE: &str = "usage: fuzz [--count N] [--seed S] [--threads T] [--target ia64|ppc64|mips64] \
@@ -49,15 +49,15 @@ const USAGE: &str = "usage: fuzz [--count N] [--seed S] [--threads T] [--target 
 /// The exact one-line command that replays a finding: same module seed,
 /// target, fault mode, and oracle configuration.
 fn repro_command(module_seed: u64, config: &FuzzConfig) -> String {
-    let mut c = sxe_bench::cmdline::ReproCmd::new("sxe-bench", "fuzz")
+    let mut c = ReproCmd::new("sxe-bench", "fuzz")
         .opt_hex("--module-seed", module_seed);
     if config.target != Target::default() {
         c = c.opt("--target", config.target);
     }
     if config.plant {
-        c = c.flag("--plant");
+        c = c.arg("--plant");
     } else if config.chaos {
-        c = c.flag("--chaos");
+        c = c.arg("--chaos");
     }
     if let Some(engine) = config.oracle.engine_right {
         c = c.opt("--exec", engine);

@@ -38,10 +38,10 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sxe_bench::{time_main, Args, TimedRun};
+use sxe_bench::{time_main, TimedRun};
 use sxe_core::Variant;
 use sxe_ir::Module;
-use sxe_jit::Compiler;
+use sxe_jit::{cmdline::Args, Compiler};
 use sxe_vm::Engine;
 
 const USAGE: &str = "usage: nativebench [--scale S] [--repeats N] [--gate MIN]";

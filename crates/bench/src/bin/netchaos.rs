@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 
 use sxe_bench::netchaos::{check_slow_loris, run_campaign, run_fuzz, ChaosOptions};
-use sxe_bench::{Args, ReproCmd};
+use sxe_jit::cmdline::{Args, ReproCmd};
 use sxe_serve::{crash_point_sweep, CompiledArtifact};
 
 struct Options {
@@ -164,7 +164,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             let repro = ReproCmd::new("sxe-bench", "netchaos").opt_hex("--seed", opts.seed);
-            let repro = if opts.gate { repro.flag("--gate") } else { repro };
+            let repro = if opts.gate { repro.arg("--gate") } else { repro };
             eprintln!("netchaos: FAILED: {msg}");
             eprintln!("    repro: {repro}");
             ExitCode::FAILURE

@@ -9,10 +9,10 @@
 
 use sxe_bench::{
     compile_time_table, dynamic_extend_table_on, figure_series, render_compile_times,
-    render_speedups, render_table, speedup_figure, Args, CountTable,
+    render_speedups, render_table, speedup_figure, CountTable,
 };
 use sxe_ir::Target;
-use sxe_jit::CompileError;
+use sxe_jit::{cmdline::Args, CompileError};
 use sxe_workloads::Suite;
 
 const USAGE: &str =
@@ -48,10 +48,7 @@ fn main() {
     while let Some(arg) = args.next_arg() {
         match arg.as_str() {
             "--scale" => scale = args.value(),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
+            "--help" | "-h" => args.help(),
             name if NAMES.contains(&name) => what.push(arg),
             _ => args.unexpected(),
         }

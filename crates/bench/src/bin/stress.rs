@@ -27,8 +27,8 @@ use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
 
-use sxe_bench::{Args, ReproCmd};
 use sxe_ir::rng::XorShift;
+use sxe_jit::cmdline::{Args, ReproCmd};
 use sxe_serve::{
     stat_value, CacheOutcome, Client, CompileRequest, CompiledArtifact, Response, RetryPolicy,
     ServeConfig, Server,
@@ -379,7 +379,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             let repro = ReproCmd::new("sxe-bench", "stress");
-            let repro = if opts.gate { repro.flag("--gate") } else { repro };
+            let repro = if opts.gate { repro.arg("--gate") } else { repro };
             eprintln!("stress: FAILED: {msg}");
             eprintln!("    repro: {repro}");
             ExitCode::FAILURE

@@ -19,9 +19,9 @@
 
 use std::process::ExitCode;
 
-use sxe_bench::{compile_throughput, render_throughput, Args};
+use sxe_bench::{compile_throughput, render_throughput};
 use sxe_core::Variant;
-use sxe_jit::{Compiler, Telemetry};
+use sxe_jit::{cmdline::Args, Compiler, Telemetry};
 
 const USAGE: &str =
     "usage: throughput [--scale S] [--repeats N] [--threads A,B,C] [--metrics FILE]";

@@ -20,9 +20,9 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use sxe_bench::{time_main, Args};
+use sxe_bench::time_main;
 use sxe_core::Variant;
-use sxe_jit::Compiler;
+use sxe_jit::{cmdline::Args, Compiler};
 use sxe_vm::Engine;
 
 const USAGE: &str = "usage: vmbench [--scale S] [--repeats N] [--gate MIN]";

@@ -16,6 +16,7 @@ use std::panic::{self, AssertUnwindSafe};
 
 use sxe_core::Variant;
 use sxe_ir::Target;
+use sxe_jit::cmdline::ReproCmd;
 use sxe_jit::{Compiler, FaultPlan, Telemetry};
 use sxe_vm::{differential_check, OracleConfig};
 
@@ -55,45 +56,20 @@ impl ChaosSummary {
     }
 }
 
-/// Sweep `seeds` fault seeds over each named workload at `scale`,
-/// compiling sequentially (one worker thread).
+/// Sweep `seeds` fault seeds over each named workload at `scale`. Every
+/// faulted compile runs through the sharded pipeline with `threads`
+/// workers, so the sweep also proves containment holds when the fault
+/// lands inside a worker, and with `telemetry` attached: the sink's
+/// registry accumulates `compile.incidents`, `compile.rollbacks`,
+/// per-pass timing histograms, etc. across the whole sweep, and its
+/// trace records a span per contained boundary.
 ///
 /// # Errors
 /// A list of containment violations (aborted compilations, unrecorded
-/// incidents, oracle mismatches); empty result list means every fault was
+/// incidents, oracle mismatches, each mismatch with its
+/// [`sxec_replay`] line); empty result list means every fault was
 /// contained.
 pub fn chaos_sweep(
-    workloads: &[&str],
-    scale: f64,
-    seeds: std::ops::Range<u64>,
-) -> Result<ChaosSummary, Vec<String>> {
-    chaos_sweep_on(workloads, scale, seeds, 1)
-}
-
-/// [`chaos_sweep`] with an explicit worker-pool size: every faulted
-/// compile runs through the sharded pipeline with `threads` workers, so
-/// the sweep also proves containment holds when the fault lands inside a
-/// worker.
-///
-/// # Errors
-/// See [`chaos_sweep`].
-pub fn chaos_sweep_on(
-    workloads: &[&str],
-    scale: f64,
-    seeds: std::ops::Range<u64>,
-    threads: usize,
-) -> Result<ChaosSummary, Vec<String>> {
-    chaos_sweep_with(workloads, scale, seeds, threads, &Telemetry::disabled())
-}
-
-/// [`chaos_sweep_on`] with a telemetry sink attached to every faulted
-/// compile: the sink's registry accumulates `compile.incidents`,
-/// `compile.rollbacks`, per-pass timing histograms, etc. across the
-/// whole sweep, and its trace records a span per contained boundary.
-///
-/// # Errors
-/// See [`chaos_sweep`].
-pub fn chaos_sweep_with(
     workloads: &[&str],
     scale: f64,
     seeds: std::ops::Range<u64>,
@@ -160,14 +136,7 @@ pub fn chaos_sweep_with(
                 match differential_check(&reference, &compiled.module, Target::Ia64, &oracle) {
                     Ok(n) => n,
                     Err(m) => {
-                        let repro = crate::cmdline::ReproCmd::new("sxe-jit", "sxec")
-                            .opt("--workload", name)
-                            .opt("--size", size)
-                            .opt("--chaos-seed", seed)
-                            .opt("--oracle-runs", oracle.runs)
-                            .opt("--oracle-fuel", oracle.fuel)
-                            .opt("--oracle-seed", oracle.seed)
-                            .flag("--no-emit");
+                        let repro = sxec_replay(name, size, seed, &oracle);
                         errors.push(format!(
                             "{name} seed {seed}: ORACLE MISMATCH: {m}\n    repro: {repro}"
                         ));
@@ -190,13 +159,28 @@ pub fn chaos_sweep_with(
     }
 }
 
+/// The `sxec` command line that replays one run of [`chaos_sweep`]: the
+/// same dry compile, fault plan and oracle check for workload `name` at
+/// `size` under fault seed `seed`.
+#[must_use]
+pub fn sxec_replay(name: &str, size: u32, seed: u64, oracle: &OracleConfig) -> ReproCmd {
+    ReproCmd::new("sxe-jit", "sxec")
+        .opt("--workload", name)
+        .opt("--size", size)
+        .opt("--chaos-seed", seed)
+        .opt("--oracle-runs", oracle.runs)
+        .opt("--oracle-fuel", oracle.fuel)
+        .opt("--oracle-seed", oracle.seed)
+        .arg("--no-emit")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn sharded_sweep_is_contained() {
-        let summary = chaos_sweep_on(&["compress"], 0.05, 0..4, 4)
+        let summary = chaos_sweep(&["compress"], 0.05, 0..4, 4, &Telemetry::disabled())
             .unwrap_or_else(|e| panic!("containment violations: {e:#?}"));
         assert_eq!(summary.runs.len(), 4);
         assert!(summary.incidents() >= 4);
@@ -204,7 +188,8 @@ mod tests {
 
     #[test]
     fn small_sweep_is_contained() {
-        let summary = chaos_sweep(&["compress", "numeric sort"], 0.05, 0..6)
+        let summary =
+            chaos_sweep(&["compress", "numeric sort"], 0.05, 0..6, 1, &Telemetry::disabled())
             .unwrap_or_else(|e| panic!("containment violations: {e:#?}"));
         assert_eq!(summary.runs.len(), 12);
         assert!(summary.incidents() >= 12, "every run records its incident");

@@ -18,11 +18,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod chaos;
-pub mod cmdline;
 pub mod netchaos;
 
-pub use chaos::{chaos_sweep, chaos_sweep_on, chaos_sweep_with, ChaosRecord, ChaosSummary};
-pub use cmdline::{Args, ReproCmd};
+pub use chaos::{chaos_sweep, ChaosRecord, ChaosSummary};
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -475,22 +473,6 @@ pub fn render_compile_times(rows: &[CompileTimeRow]) -> String {
         );
     }
     out
-}
-
-/// Minimal timing harness backing the `benches/` targets — the workspace
-/// builds with no registry access, so there is no external benchmark
-/// framework. Runs `f` for `warmup` untimed rounds, then `iters` timed
-/// rounds, and prints the mean wall-clock time per iteration.
-pub fn bench_loop<T>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> T) {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let per_iter = t0.elapsed() / iters.max(1);
-    println!("{name:<40} {per_iter:>12.2?}/iter  ({iters} iters)");
 }
 
 #[cfg(test)]

@@ -157,7 +157,7 @@ mod tests {
     use sxe_analysis::UdDu;
     use sxe_ir::{parse_function, Cfg, Function, Target};
 
-    use crate::eliminate::{remove_dummies, run_elimination_budgeted, ElimConfig, ElimResult};
+    use crate::eliminate::{run_elimination_budgeted, strip_dummies, ElimConfig, ElimResult};
 
     fn eliminate(src: &str, max_array_len: u32) -> (Function, ElimResult) {
         let mut f = parse_function(src).unwrap();
@@ -174,11 +174,10 @@ mod tests {
             &mut udu,
             &order,
             &config,
-            &flow,
+            Some(&flow),
             &sxe_ir::Budget::unlimited(),
         );
-        remove_dummies(&mut f, &mut udu);
-        f.compact();
+        strip_dummies(&mut f);
         (f, res)
     }
 

@@ -54,6 +54,27 @@ impl Variant {
         Variant::All,
     ];
 
+    /// The variant's command-line and wire name (`sxec --variant`, the
+    /// `sxed` `variant=` header); [`FromStr`](std::str::FromStr) parses
+    /// it back.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Variant::Baseline => "baseline",
+            Variant::GenUse => "gen-use",
+            Variant::FirstAlgorithm => "first",
+            Variant::BasicUdDu => "basic",
+            Variant::Insert => "insert",
+            Variant::Order => "order",
+            Variant::InsertOrder => "insert-order",
+            Variant::Array => "array",
+            Variant::ArrayInsert => "array-insert",
+            Variant::ArrayOrder => "array-order",
+            Variant::AllPde => "all-pde",
+            Variant::All => "all",
+        }
+    }
+
     /// The table-row label used in the paper.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -144,6 +165,18 @@ impl Variant {
 impl std::fmt::Display for Variant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+impl std::str::FromStr for Variant {
+    type Err = String;
+
+    /// The variant whose [`Variant::name`] is `s`.
+    fn from_str(s: &str) -> Result<Variant, String> {
+        Variant::ALL
+            .into_iter()
+            .find(|v| v.name() == s)
+            .ok_or_else(|| format!("unknown variant `{s}`"))
     }
 }
 
@@ -300,6 +333,32 @@ mod tests {
         let labels: std::collections::BTreeSet<_> =
             Variant::ALL.iter().map(|v| v.label()).collect();
         assert_eq!(labels.len(), 12, "labels are unique");
+    }
+
+    #[test]
+    fn names_are_pinned_and_parse_back() {
+        // `sxec --variant` values and `sxed` `variant=` headers: command
+        // lines and clients already in use send exactly these.
+        let names = [
+            "baseline",
+            "gen-use",
+            "first",
+            "basic",
+            "insert",
+            "order",
+            "insert-order",
+            "array",
+            "array-insert",
+            "array-order",
+            "all-pde",
+            "all",
+        ];
+        for (v, name) in Variant::ALL.into_iter().zip(names) {
+            assert_eq!(v.name(), name);
+            assert_eq!(name.parse::<Variant>(), Ok(v));
+        }
+        assert_eq!("bogus".parse::<Variant>(), Err("unknown variant `bogus`".to_string()));
+        assert!("new algorithm (all)".parse::<Variant>().is_err(), "Display is not the name");
     }
 
     #[test]

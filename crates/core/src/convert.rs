@@ -16,7 +16,7 @@
 //! checks, mirroring what a code generator knows.
 
 use sxe_analysis::AvailableExt;
-use sxe_ir::semantics::{classify_uses, def_facts, param_facts};
+use sxe_ir::semantics::{classify_uses, def_facts};
 use sxe_ir::{Cfg, ExtFacts, Function, Inst, Reg, Target, Ty, UseKind, Width};
 
 /// The inferred class of a virtual register.
@@ -254,13 +254,6 @@ pub fn fully_extended(f: &Function, target: Target) -> bool {
         }
     }
     true
-}
-
-/// Facts for a parameter, re-exported for the elimination (kept here so
-/// the conversion and elimination share the calling-convention view).
-#[must_use]
-pub fn param_fact(ty: Ty, w: Width) -> ExtFacts {
-    param_facts(ty, w)
 }
 
 #[cfg(test)]

@@ -58,12 +58,16 @@ pub struct ElimResult {
 /// extension already processed stays eliminated, the rest simply remain
 /// (salvage, don't abort). Processing hottest-first means the budget is
 /// spent where it pays.
+///
+/// `flow` is the interval analysis the array theorems and the range
+/// refinement read; with `config.array_analysis` off nothing reads it,
+/// so callers pass `None` and every interval is TOP.
 pub fn run_elimination_budgeted(
     f: &mut Function,
     udu: &mut UdDu,
     order: &[InstId],
     config: &ElimConfig,
-    flow: &FlowRanges,
+    flow: Option<&FlowRanges>,
     budget: &sxe_ir::Budget,
 ) -> ElimResult {
     let mut result = ElimResult::default();
@@ -72,7 +76,7 @@ pub fn run_elimination_budgeted(
     // low-32 interval; removing an `extend.8`/`extend.16` can widen the
     // intervals after it, so answers depend on when a block is first
     // touched (see `LazyFlowStates::at`).
-    let flow_states = LazyFlowStates::new(f.blocks.len(), flow, config.array_analysis);
+    let flow_states = LazyFlowStates::new(f.blocks.len(), flow);
     for &ext_id in order {
         if !budget.spend(1) {
             result.exhausted = true;
@@ -106,32 +110,11 @@ pub fn run_elimination_budgeted(
 }
 
 /// Remove all dummy (`justext`) markers — the trivial final step of
-/// phase (3)-3. Returns the number removed.
-pub fn remove_dummies(f: &mut Function, udu: &mut UdDu) -> usize {
-    let ids: Vec<(InstId, Reg, Reg, Width)> = f
-        .insts()
-        .filter_map(|(id, inst)| match *inst {
-            Inst::JustExtended { dst, src, from } => Some((id, dst, src, from)),
-            _ => None,
-        })
-        .collect();
-    let n = ids.len();
-    for (id, dst, src, from) in ids {
-        if dst == src {
-            udu.remove_transparent_def(f, id);
-            f.delete_inst(id);
-        } else {
-            *f.inst_mut(id) = Inst::Copy { dst, src, ty: from.ty() };
-        }
-    }
-    n
-}
-
-/// Chain-free variant of [`remove_dummies`] for recovery paths: after the
-/// containment harness rolls a function back to a snapshot taken *inside*
-/// step 3, leftover `justext` markers must still be scrubbed before the
-/// function ships, and no up-to-date [`UdDu`] exists at that point.
-/// Returns the number of markers removed.
+/// phase (3)-3 — and compact the function. Nothing reads the chains after
+/// it, so it leaves them alone; the containment harness also calls it
+/// after rolling a function back to a snapshot taken *inside* step 3,
+/// where no up-to-date [`UdDu`] exists. Returns the number of markers
+/// removed.
 pub fn strip_dummies(f: &mut Function) -> usize {
     let mut n = 0;
     for blk in &mut f.blocks {
@@ -152,19 +135,15 @@ pub fn strip_dummies(f: &mut Function) -> usize {
 
 /// Lazily materialized per-instruction flow intervals, shared across a
 /// whole elimination run (block structure is fixed during phase (3)-3).
+/// Without a flow analysis every interval is TOP.
 pub(crate) struct LazyFlowStates<'a> {
-    flow: &'a FlowRanges,
-    enabled: bool,
+    flow: Option<&'a FlowRanges>,
     blocks: Vec<OnceCell<Vec<Vec<Interval>>>>,
 }
 
 impl<'a> LazyFlowStates<'a> {
-    fn new(num_blocks: usize, flow: &'a FlowRanges, enabled: bool) -> LazyFlowStates<'a> {
-        LazyFlowStates {
-            flow,
-            enabled,
-            blocks: (0..num_blocks).map(|_| OnceCell::new()).collect(),
-        }
+    fn new(num_blocks: usize, flow: Option<&'a FlowRanges>) -> LazyFlowStates<'a> {
+        LazyFlowStates { flow, blocks: (0..num_blocks).map(|_| OnceCell::new()).collect() }
     }
 
     /// Intervals before instruction `id` (materializing its block on
@@ -176,11 +155,11 @@ impl<'a> LazyFlowStates<'a> {
     /// elimination count depends on the order blocks are first queried
     /// (ROADMAP item 4).
     fn at(&self, f: &Function, id: InstId, r: Reg) -> Interval {
-        if !self.enabled {
+        let Some(flow) = self.flow else {
             return Interval::TOP;
-        }
-        let per_inst = self.blocks[id.block.index()]
-            .get_or_init(|| self.flow.materialize_block(f, id.block));
+        };
+        let per_inst =
+            self.blocks[id.block.index()].get_or_init(|| flow.materialize_block(f, id.block));
         per_inst
             .get(id.index as usize)
             .map_or(Interval::TOP, |state| state[r.index()])
@@ -476,17 +455,16 @@ mod tests {
             array_analysis: array,
             max_array_len: 0x7fff_ffff,
         };
-        let flow = sxe_analysis::FlowRanges::compute(&f, &cfg);
+        let flow = array.then(|| FlowRanges::compute(&f, &cfg));
         let res = run_elimination_budgeted(
             &mut f,
             &mut udu,
             &order,
             &config,
-            &flow,
+            flow.as_ref(),
             &sxe_ir::Budget::unlimited(),
         );
-        remove_dummies(&mut f, &mut udu);
-        f.compact();
+        strip_dummies(&mut f);
         (f, res)
     }
 
@@ -638,7 +616,7 @@ mod tests {
         let cfg = Cfg::compute(&f);
         let udu = UdDu::compute(&f, &cfg);
         let flow = FlowRanges::compute(&f, &cfg);
-        let states = LazyFlowStates::new(f.blocks.len(), &flow, true);
+        let states = LazyFlowStates::new(f.blocks.len(), Some(&flow));
         let config =
             ElimConfig { target: Target::Ia64, array_analysis: true, max_array_len: 0x7fff_ffff };
         Analysis::new(&f, &udu, &states, &config, Width::W32)

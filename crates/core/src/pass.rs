@@ -5,7 +5,7 @@ use sxe_analysis::{AnalysisCache, FlowRanges, Freq};
 use sxe_ir::{Budget, Function, Inst, InstId};
 
 use crate::config::{SxeConfig, SxeStats};
-use crate::eliminate::{remove_dummies, run_elimination_budgeted, ElimConfig};
+use crate::eliminate::{run_elimination_budgeted, strip_dummies, ElimConfig};
 use crate::insertion::simple_insertion;
 use crate::order::{elimination_order, static_freq};
 use crate::pde::pde_insertion;
@@ -156,8 +156,9 @@ pub fn step3_eliminate(
     step3_eliminate_cached(f, config, order, budget, &mut AnalysisCache::disabled())
 }
 
-/// Stage (3)-3, standalone: chain creation, flow analysis, budgeted
-/// elimination over `order`, dummy removal, and zero-extension cleanup.
+/// Stage (3)-3, standalone: chain creation, flow analysis (array
+/// variants only), budgeted elimination over `order`, dummy removal, and
+/// zero-extension cleanup.
 /// The CFG comes from `cache`, typically a hit left behind by
 /// [`step3_order_cached`]. The chains are built once, after insertion,
 /// and moved out of the cache, because elimination maintains them
@@ -171,24 +172,25 @@ pub fn step3_eliminate_cached(
 ) -> ElimOutcome {
     let cfg = cache.cfg(f);
     let mut udu = cache.take_udu(f);
-    // Flow-sensitive interval analysis, computed once for every
-    // elimination. Deleting an `extend.32` leaves the low-32 intervals
-    // as they were; deleting an `extend.8`/`extend.16` can widen them
-    // (see `LazyFlowStates` in `eliminate.rs`).
-    let flow = FlowRanges::compute(f, &cfg);
-
     let ec = ElimConfig {
         target: config.target,
         array_analysis: config.variant.array_analysis(),
         max_array_len: config.max_array_len,
     };
-    let res = run_elimination_budgeted(f, &mut udu, order, &ec, &flow, budget);
-
-    remove_dummies(f, &mut udu);
+    // Flow-sensitive interval analysis, computed once for every
+    // elimination, and only for the variants whose array theorems and
+    // range refinement read it. Deleting an `extend.32` leaves the
+    // low-32 intervals as they were; deleting an `extend.8`/`extend.16`
+    // can widen them (see `LazyFlowStates` in `eliminate.rs`).
+    let flow = ec.array_analysis.then(|| FlowRanges::compute(f, &cfg));
+    let res = run_elimination_budgeted(f, &mut udu, order, &ec, flow.as_ref(), budget);
+    // Nothing reads the chains after this, so the markers go without
+    // splicing them; the compaction it ends with also drops the
+    // extensions elimination deleted (zero-extension cleanup deletes none).
+    strip_dummies(f);
     if config.eliminate_zext {
         crate::zext::eliminate_zero_extensions(f, config.target);
     }
-    f.compact();
     ElimOutcome {
         examined: res.examined,
         eliminated: res.eliminated,

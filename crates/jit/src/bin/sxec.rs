@@ -44,7 +44,9 @@
 //! `0` success, `1` runtime failure (trap, oracle mismatch, output I/O),
 //! `2` usage error, `3` input error (missing/unparseable module or
 //! workload), `4` compile refused (verify error or exhausted budget) —
-//! see the table in README.md.
+//! see the table in README.md. Flags parse through
+//! [`sxe_jit::cmdline::Args`], so `--help` exits 0 and seeds take decimal
+//! or `0x` hex.
 //!
 //! Reads the module, compiles it, prints the optimized IR to stdout.
 //! `--trace`/`--metrics` enable the telemetry sink for the main compile
@@ -52,101 +54,71 @@
 //! with the reported stats); `--run` execution counters are folded into
 //! the same registry as `vm.*` metrics.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use sxe_core::Variant;
 use sxe_ir::Target;
+use sxe_jit::cmdline::{Args, ReproCmd};
 use sxe_jit::{Compiled, Compiler, FaultPlan, Telemetry};
 use sxe_vm::{differential_check, Engine, OracleConfig, Vm, VmError};
 
 /// Runtime failure: a trap, an oracle mismatch, or output I/O.
 const EXIT_RUNTIME: u8 = 1;
-/// Usage error (bad flags).
-const EXIT_USAGE: u8 = 2;
 /// Input error: missing or unparseable module, unknown workload.
 const EXIT_INPUT: u8 = 3;
 /// The compiler refused the input (verify error, exhausted budget).
 const EXIT_REFUSED: u8 = 4;
 
-fn parse_variant(s: &str) -> Option<Variant> {
-    Some(match s {
-        "baseline" => Variant::Baseline,
-        "gen-use" => Variant::GenUse,
-        "first" => Variant::FirstAlgorithm,
-        "basic" => Variant::BasicUdDu,
-        "insert" => Variant::Insert,
-        "order" => Variant::Order,
-        "insert-order" => Variant::InsertOrder,
-        "array" => Variant::Array,
-        "array-insert" => Variant::ArrayInsert,
-        "array-order" => Variant::ArrayOrder,
-        "all-pde" => Variant::AllPde,
-        "all" => Variant::All,
-        _ => return None,
-    })
-}
-
-/// Inverse of [`parse_variant`], for reconstructing a repro command.
-fn variant_flag(v: Variant) -> &'static str {
-    match v {
-        Variant::Baseline => "baseline",
-        Variant::GenUse => "gen-use",
-        Variant::FirstAlgorithm => "first",
-        Variant::BasicUdDu => "basic",
-        Variant::Insert => "insert",
-        Variant::Order => "order",
-        Variant::InsertOrder => "insert-order",
-        Variant::Array => "array",
-        Variant::ArrayInsert => "array-insert",
-        Variant::ArrayOrder => "array-order",
-        Variant::AllPde => "all-pde",
-        Variant::All => "all",
-    }
-}
+const USAGE: &str = "usage: sxec [--variant V] [--target ia64|ppc64|mips64] [--max-array-len N] \
+     [--workload NAME] [--size N] \
+     [--run ENTRY] [--arg N]... [--vm decoded|tree|native] [--no-fallback] \
+     [--vm-fuel N] \
+     [--budget FUEL] [--timeout MS] [--threads N] [--no-cache] \
+     [--chaos-seed N] [--oracle-runs N] [--oracle-fuel N] [--oracle-seed N] \
+     [--trace FILE] [--metrics FILE] \
+     [--report] [--stats] [--no-emit] <input.sxe>";
 
 /// The exact one-line command that reproduces a chaos-oracle finding:
 /// same input, variant, target, chaos seed, and (pinned) oracle config.
-fn repro_command(opts: &Options, oracle: &OracleConfig) -> String {
-    use std::fmt::Write as _;
-    let mut c = String::from("cargo run --release -p sxe-jit --bin sxec --");
+fn repro_command(opts: &Options, seed: u64) -> ReproCmd {
+    let mut c = ReproCmd::new("sxe-jit", "sxec");
     if opts.variant != Variant::All {
-        let _ = write!(c, " --variant {}", variant_flag(opts.variant));
+        c = c.opt("--variant", opts.variant.name());
     }
     if opts.target != Target::default() {
-        let _ = write!(c, " --target {}", opts.target);
+        c = c.opt("--target", opts.target);
     }
     if let Some(w) = &opts.workload {
-        let _ = write!(c, " --workload {w}");
+        c = c.opt("--workload", w);
         if let Some(s) = opts.size {
-            let _ = write!(c, " --size {s}");
+            c = c.opt("--size", s);
         }
     }
     if let Some(b) = opts.budget {
-        let _ = write!(c, " --budget {b}");
+        c = c.opt("--budget", b);
     }
     if let Some(t) = opts.timeout_ms {
-        let _ = write!(c, " --timeout {t}");
+        c = c.opt("--timeout", t);
     }
     if opts.threads != 1 {
-        let _ = write!(c, " --threads {}", opts.threads);
+        c = c.opt("--threads", opts.threads);
     }
     if !opts.cache {
-        c.push_str(" --no-cache");
+        c = c.arg("--no-cache");
     }
-    if let Some(seed) = opts.chaos_seed {
-        let _ = write!(c, " --chaos-seed {seed}");
+    c = c.opt("--chaos-seed", seed);
+    if opts.engine != Engine::default() {
+        c = c.opt("--vm", opts.engine);
     }
-    if oracle.engine != Engine::default() {
-        let _ = write!(c, " --vm {}", oracle.engine);
-    }
-    let _ = write!(
-        c,
-        " --oracle-runs {} --oracle-fuel {} --oracle-seed {} --no-emit",
-        oracle.runs, oracle.fuel, oracle.seed
-    );
+    c = c
+        .opt("--oracle-runs", opts.oracle.runs)
+        .opt("--oracle-fuel", opts.oracle.fuel)
+        .opt("--oracle-seed", opts.oracle.seed)
+        .arg("--no-emit");
     if opts.workload.is_none() {
-        let _ = write!(c, " {}", opts.input);
+        c = c.arg(&opts.input);
     }
     c
 }
@@ -168,9 +140,8 @@ struct Options {
     threads: usize,
     cache: bool,
     chaos_seed: Option<u64>,
-    oracle_runs: Option<usize>,
-    oracle_fuel: Option<u64>,
-    oracle_seed: Option<u64>,
+    /// The chaos oracle's runs, fuel and seed; its engine is `engine`.
+    oracle: OracleConfig,
     trace: Option<String>,
     metrics: Option<String>,
     report: bool,
@@ -178,18 +149,7 @@ struct Options {
     emit: bool,
 }
 
-fn usage() -> &'static str {
-    "usage: sxec [--variant V] [--target ia64|ppc64|mips64] [--max-array-len N] \
-     [--workload NAME] [--size N] \
-     [--run ENTRY] [--arg N]... [--vm decoded|tree|native] [--no-fallback] \
-     [--vm-fuel N] \
-     [--budget FUEL] [--timeout MS] [--threads N] [--no-cache] \
-     [--chaos-seed N] [--oracle-runs N] [--oracle-fuel N] [--oracle-seed N] \
-     [--trace FILE] [--metrics FILE] \
-     [--report] [--stats] [--no-emit] <input.sxe>"
-}
-
-fn parse_args() -> Result<Options, String> {
+fn parse_args() -> Options {
     let mut opts = Options {
         input: String::new(),
         variant: Variant::All,
@@ -207,158 +167,65 @@ fn parse_args() -> Result<Options, String> {
         threads: 1,
         cache: true,
         chaos_seed: None,
-        oracle_runs: None,
-        oracle_fuel: None,
-        oracle_seed: None,
+        oracle: OracleConfig::default(),
         trace: None,
         metrics: None,
         report: false,
         stats: false,
         emit: true,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--variant" => {
-                let v = it.next().ok_or("--variant needs a value")?;
-                opts.variant =
-                    parse_variant(&v).ok_or_else(|| format!("unknown variant `{v}`"))?;
-            }
-            "--target" => {
-                opts.target = match it.next().as_deref() {
-                    Some(s) => s.parse::<Target>()?,
-                    None => return Err("--target needs a value".to_string()),
-                };
-            }
-            "--max-array-len" => {
-                opts.max_array_len = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--max-array-len needs a number")?;
-            }
-            "--workload" => {
-                opts.workload = Some(it.next().ok_or("--workload needs a name")?);
-            }
-            "--size" => {
-                opts.size = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--size needs a number")?,
-                );
-            }
-            "--run" => opts.run = Some(it.next().ok_or("--run needs an entry name")?),
-            "--vm" => {
-                let v = it.next().ok_or("--vm needs an engine name")?;
-                opts.engine = v.parse()?;
-            }
-            "--vm-fuel" => {
-                opts.vm_fuel = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--vm-fuel needs an instruction count")?,
-                );
-            }
-            "--arg" => {
-                opts.args.push(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--arg needs an integer")?,
-                );
-            }
-            "--budget" => {
-                opts.budget = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--budget needs a fuel count")?,
-                );
-            }
-            "--timeout" => {
-                opts.timeout_ms = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--timeout needs a millisecond count")?,
-                );
-            }
-            "--threads" => {
-                opts.threads = it
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("--threads needs a worker count >= 1")?;
-            }
+    let mut oracle_flags = false;
+    let mut args = Args::from_env("sxec", USAGE);
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--variant" => opts.variant = args.value(),
+            "--target" => opts.target = args.value(),
+            "--max-array-len" => opts.max_array_len = args.value(),
+            "--workload" => opts.workload = Some(args.value()),
+            "--size" => opts.size = Some(args.value()),
+            "--run" => opts.run = Some(args.value()),
+            "--arg" => opts.args.push(args.value()),
+            "--vm" => opts.engine = args.value(),
             "--no-fallback" => opts.fallback = false,
+            "--vm-fuel" => opts.vm_fuel = Some(args.value()),
+            "--budget" => opts.budget = Some(args.value()),
+            "--timeout" => opts.timeout_ms = Some(args.value()),
+            "--threads" => opts.threads = args.value::<NonZeroUsize>().get(),
             "--no-cache" => opts.cache = false,
-            "--chaos-seed" => {
-                opts.chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--chaos-seed needs an integer seed")?,
-                );
-            }
-            "--oracle-runs" => {
-                opts.oracle_runs = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--oracle-runs needs a run count")?,
-                );
-            }
-            "--oracle-fuel" => {
-                opts.oracle_fuel = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--oracle-fuel needs a fuel count")?,
-                );
-            }
-            "--oracle-seed" => {
-                opts.oracle_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--oracle-seed needs an integer seed")?,
-                );
-            }
-            "--trace" => opts.trace = Some(it.next().ok_or("--trace needs a file path")?),
-            "--metrics" => {
-                opts.metrics = Some(it.next().ok_or("--metrics needs a file path")?);
-            }
+            "--chaos-seed" => opts.chaos_seed = Some(args.seed()),
+            "--oracle-runs" => (opts.oracle.runs, oracle_flags) = (args.value(), true),
+            "--oracle-fuel" => (opts.oracle.fuel, oracle_flags) = (args.value(), true),
+            "--oracle-seed" => (opts.oracle.seed, oracle_flags) = (args.seed(), true),
+            "--trace" => opts.trace = Some(args.value()),
+            "--metrics" => opts.metrics = Some(args.value()),
             "--report" => opts.report = true,
             "--stats" => opts.stats = true,
             "--no-emit" => opts.emit = false,
-            "--help" | "-h" => return Err(usage().to_string()),
-            other if !other.starts_with('-') && opts.input.is_empty() => {
-                opts.input = other.to_string();
-            }
-            other => return Err(format!("unexpected argument `{other}`\n{}", usage())),
+            "--help" | "-h" => args.help(),
+            _ if !arg.starts_with('-') && opts.input.is_empty() => opts.input = arg,
+            _ => args.unexpected(),
         }
     }
     match (&opts.workload, opts.input.is_empty()) {
-        (None, true) => return Err(usage().to_string()),
-        (Some(_), false) => {
-            return Err("give either an input file or --workload, not both".to_string());
-        }
+        (None, true) => args.fail("give an input file or --workload"),
+        (Some(_), false) => args.fail("give either an input file or --workload, not both"),
         _ => {}
     }
     if opts.size.is_some() && opts.workload.is_none() {
-        return Err("--size only makes sense with --workload".to_string());
+        args.fail("--size only makes sense with --workload");
     }
     if !opts.fallback && opts.engine != Engine::Native {
-        return Err("--no-fallback only makes sense with --vm native".to_string());
+        args.fail("--no-fallback only makes sense with --vm native");
     }
-    if (opts.oracle_runs.is_some() || opts.oracle_fuel.is_some() || opts.oracle_seed.is_some())
-        && opts.chaos_seed.is_none()
-    {
-        return Err("--oracle-* flags only make sense with --chaos-seed".to_string());
+    if oracle_flags && opts.chaos_seed.is_none() {
+        args.fail("--oracle-* flags only make sense with --chaos-seed");
     }
-    Ok(opts)
+    opts.oracle.engine = opts.engine;
+    opts
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
+    let opts = parse_args();
     let module = if let Some(name) = &opts.workload {
         match sxe_workloads::by_name(name) {
             Some(w) => w.build(opts.size.unwrap_or(w.default_size)),
@@ -420,7 +287,7 @@ fn main() -> ExitCode {
     if opts.report || opts.chaos_seed.is_some() {
         eprint!("sxec: {}", compiled.report.summary());
     }
-    if opts.chaos_seed.is_some() {
+    if let Some(seed) = opts.chaos_seed {
         // Oracle reference: the conversion-only (Baseline) compile — the
         // raw module is not meaningful on the 64-bit machine model until
         // step 1 has inserted its sign extensions.
@@ -429,17 +296,11 @@ fn main() -> ExitCode {
             Ok(c) => c.module,
             Err(code) => return code,
         };
-        let defaults = OracleConfig::default();
-        let oracle = OracleConfig::new()
-            .runs(opts.oracle_runs.unwrap_or(defaults.runs))
-            .fuel(opts.oracle_fuel.unwrap_or(defaults.fuel))
-            .seed(opts.oracle_seed.unwrap_or(defaults.seed))
-            .engine(opts.engine);
-        match differential_check(&reference, &compiled.module, opts.target, &oracle) {
+        match differential_check(&reference, &compiled.module, opts.target, &opts.oracle) {
             Ok(n) => eprintln!("sxec: oracle agreed on {n} comparisons"),
             Err(m) => {
                 eprintln!("sxec: ORACLE MISMATCH: {m}");
-                eprintln!("sxec: repro: {}", repro_command(&opts, &oracle));
+                eprintln!("sxec: repro: {}", repro_command(&opts, seed));
                 return ExitCode::from(EXIT_RUNTIME);
             }
         }

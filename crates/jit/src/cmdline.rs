@@ -1,14 +1,17 @@
-//! The command line of the `sxe-bench` binaries, both ways.
+//! The command line of the compiler, daemon and harness binaries, both
+//! ways.
 //!
-//! [`Args`] reads it: every binary parses its flags through that one
-//! cursor, so a usage error looks and exits the same everywhere
-//! (`<bin>: <reason>`, the usage line, exit code 2 — a failed check or
-//! gate exits 1).
+//! [`Args`] reads it: `sxec`, `sxed` and the `sxe-bench` tools parse
+//! their flags through that one cursor, so a usage error looks and exits
+//! the same everywhere (`<bin>: <reason>`, the usage line, exit code 2),
+//! and `--help` prints the usage line on stdout and exits 0.
 //!
 //! [`ReproCmd`] writes it: every harness that finds a failure (the chaos
-//! sweep, the fuzz campaign, the serve stress gate) prints the exact
-//! one-line `cargo run` invocation that reproduces it, and [`Args::seed`]
-//! accepts the `0x…` seeds [`ReproCmd::opt_hex`] prints.
+//! sweep, the fuzz campaign, the serve stress gate, `sxec --chaos-seed`)
+//! prints the exact one-line `cargo run` invocation that reproduces it.
+//! [`Args::seed`] accepts the `0x…` seeds [`ReproCmd::opt_hex`] prints,
+//! and a value with whitespace in it is single-quoted, so the line
+//! replays as pasted into a shell.
 
 use std::fmt::{Display, Write as _};
 use std::str::FromStr;
@@ -77,6 +80,12 @@ impl Args {
             .unwrap_or_else(|e| self.fail(format!("bad value for {} `{raw}`: {e}", self.current)))
     }
 
+    /// Print the usage line to stdout and exit with code 0 (`--help`).
+    pub fn help(&self) -> ! {
+        println!("{}", self.usage);
+        std::process::exit(0)
+    }
+
     /// Reject the current argument as unknown; exits with code 2.
     pub fn unexpected(&self) -> ! {
         self.fail(format!("unexpected argument `{}`", self.current))
@@ -105,27 +114,33 @@ impl ReproCmd {
         ReproCmd { cmd: format!("cargo run --release -p {pkg} --bin {bin} --") }
     }
 
-    /// Append a bare flag (`--plant`).
+    /// Append one word — a bare flag (`--plant`), a flag's value, or a
+    /// positional argument — formatted with [`Display`] and single-quoted
+    /// if it holds whitespace or a quote (`'numeric sort'`), so a shell
+    /// passes it as one word.
     #[must_use]
-    pub fn flag(mut self, flag: &str) -> ReproCmd {
-        let _ = write!(self.cmd, " {flag}");
+    pub fn arg(mut self, word: impl Display) -> ReproCmd {
+        let word = word.to_string();
+        if word.contains(|c: char| c.is_whitespace() || c == '\'') {
+            let _ = write!(self.cmd, " '{}'", word.replace('\'', r"'\''"));
+        } else {
+            let _ = write!(self.cmd, " {word}");
+        }
         self
     }
 
-    /// Append a valued flag (`--size 200`), formatting the value with
-    /// [`Display`].
+    /// Append a valued flag (`--size 200`), the value as [`ReproCmd::arg`]
+    /// writes it.
     #[must_use]
-    pub fn opt(mut self, flag: &str, value: impl Display) -> ReproCmd {
-        let _ = write!(self.cmd, " {flag} {value}");
-        self
+    pub fn opt(self, flag: &str, value: impl Display) -> ReproCmd {
+        self.arg(flag).arg(value)
     }
 
     /// Append a valued flag whose value is formatted as `0x…` hex
     /// (`--module-seed 0x2a`) — a form [`Args::seed`] accepts back.
     #[must_use]
-    pub fn opt_hex(mut self, flag: &str, value: u64) -> ReproCmd {
-        let _ = write!(self.cmd, " {flag} {value:#x}");
-        self
+    pub fn opt_hex(self, flag: &str, value: u64) -> ReproCmd {
+        self.opt(flag, format_args!("{value:#x}"))
     }
 
     /// The finished command line.
@@ -151,7 +166,7 @@ mod tests {
             .opt("--workload", "compress")
             .opt("--size", 200)
             .opt_hex("--chaos-seed", 42)
-            .flag("--no-emit")
+            .arg("--no-emit")
             .render();
         assert_eq!(
             cmd,
@@ -160,11 +175,43 @@ mod tests {
         );
     }
 
+    /// `line` split into words by a POSIX shell, one word per line of
+    /// `printf`'s output.
+    fn shell_words(line: &str) -> Vec<String> {
+        let out = std::process::Command::new("sh")
+            .args(["-c", &format!("printf '%s\\n' {line}")])
+            .output()
+            .expect("sh runs");
+        assert!(out.status.success(), "sh rejected `{line}`");
+        String::from_utf8(out.stdout).expect("UTF-8").lines().map(str::to_string).collect()
+    }
+
     /// The arguments after `--` of a rendered replay command.
     fn replay_args(cmd: &ReproCmd) -> Args {
-        let line = cmd.render();
-        let (_, tail) = line.split_once(" -- ").expect("replay commands carry `--`");
-        Args::new("test", "usage: test", tail.split_whitespace().map(str::to_string))
+        let words = shell_words(&cmd.render());
+        let dashes = words.iter().position(|w| w == "--").expect("replay commands carry `--`");
+        Args::new("test", "usage: test", words[dashes + 1..].to_vec())
+    }
+
+    #[test]
+    fn values_with_whitespace_replay_as_one_word() {
+        let cmd = ReproCmd::new("sxe-jit", "sxec")
+            .opt("--workload", "numeric sort")
+            .opt("--workload", "LU decomp.")
+            .opt("--trace", "it's here.json")
+            .arg("my input.sxe");
+        assert_eq!(
+            cmd.render(),
+            "cargo run --release -p sxe-jit --bin sxec -- --workload 'numeric sort' \
+             --workload 'LU decomp.' --trace 'it'\\''s here.json' 'my input.sxe'"
+        );
+        let mut args = replay_args(&cmd);
+        for want in ["numeric sort", "LU decomp.", "it's here.json"] {
+            assert!(args.next_arg().is_some_and(|flag| flag.starts_with("--")));
+            assert_eq!(args.value::<String>(), want);
+        }
+        assert_eq!(args.next_arg().as_deref(), Some("my input.sxe"));
+        assert_eq!(args.next_arg(), None);
     }
 
     #[test]

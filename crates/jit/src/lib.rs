@@ -53,6 +53,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod artifact;
+pub mod cmdline;
 pub mod harness;
 pub mod report;
 pub mod shard;

@@ -12,10 +12,10 @@
 //! so harnesses can pass `--port 0` and scrape the ephemeral port.
 
 use std::io::Write as _;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use sxe_jit::cmdline::Args;
 use sxe_serve::{ServeConfig, Server};
 
 const USAGE: &str = "\
@@ -35,95 +35,35 @@ options:
                          connection-limit refusal (0 = unlimited; default 256)
   --retry-after <ms>     backoff hint attached to refusals (default 25)
   --write-delay-ms <ms>  test hook: slow cache writes to widen the crash window
-  --help                 print this help
-";
-
-struct Options {
-    port: u16,
-    config: ServeConfig,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options { port: 7433, config: ServeConfig::default() };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().map(String::as_str).ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--port" => {
-                opts.port = value("--port")?.parse().map_err(|_| "bad --port".to_string())?;
-            }
-            "--cache-dir" => opts.config.cache_dir = PathBuf::from(value("--cache-dir")?),
-            "--threads" => {
-                opts.config.threads =
-                    value("--threads")?.parse().map_err(|_| "bad --threads".to_string())?;
-            }
-            "--queue-capacity" => {
-                opts.config.queue_capacity = value("--queue-capacity")?
-                    .parse()
-                    .map_err(|_| "bad --queue-capacity".to_string())?;
-            }
-            "--fuel" => {
-                opts.config.default_fuel =
-                    Some(value("--fuel")?.parse().map_err(|_| "bad --fuel".to_string())?);
-            }
-            "--timeout" => {
-                let ms: u64 =
-                    value("--timeout")?.parse().map_err(|_| "bad --timeout".to_string())?;
-                opts.config.default_time_limit =
-                    (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--io-timeout" => {
-                let ms: u64 =
-                    value("--io-timeout")?.parse().map_err(|_| "bad --io-timeout".to_string())?;
-                opts.config.io_timeout = Duration::from_millis(ms.max(1));
-            }
-            "--frame-deadline" => {
-                let ms: u64 = value("--frame-deadline")?
-                    .parse()
-                    .map_err(|_| "bad --frame-deadline".to_string())?;
-                opts.config.frame_deadline = Duration::from_millis(ms.max(1));
-            }
-            "--max-conns" => {
-                opts.config.max_connections =
-                    value("--max-conns")?.parse().map_err(|_| "bad --max-conns".to_string())?;
-            }
-            "--retry-after" => {
-                let ms: u64 = value("--retry-after")?
-                    .parse()
-                    .map_err(|_| "bad --retry-after".to_string())?;
-                opts.config.retry_after = Duration::from_millis(ms);
-            }
-            "--write-delay-ms" => {
-                let ms: u64 = value("--write-delay-ms")?
-                    .parse()
-                    .map_err(|_| "bad --write-delay-ms".to_string())?;
-                opts.config.write_delay = (ms > 0).then(|| Duration::from_millis(ms));
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    Ok(opts)
-}
+  --help                 print this help";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(msg) if msg.is_empty() => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
+    let mut port: u16 = 7433;
+    let mut config = ServeConfig::default();
+    let mut args = Args::from_env("sxed", USAGE);
+    // Milliseconds; `off_at_0` maps 0 to `None` ("unlimited", "no delay"),
+    // the other durations clamp it to 1 ms.
+    let ms = |n: u64| Duration::from_millis(n.max(1));
+    let off_at_0 = |n: u64| (n > 0).then(|| Duration::from_millis(n));
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--port" => port = args.value(),
+            "--cache-dir" => config.cache_dir = args.value(),
+            "--threads" => config.threads = args.value(),
+            "--queue-capacity" => config.queue_capacity = args.value(),
+            "--fuel" => config.default_fuel = Some(args.value()),
+            "--timeout" => config.default_time_limit = off_at_0(args.value()),
+            "--io-timeout" => config.io_timeout = ms(args.value()),
+            "--frame-deadline" => config.frame_deadline = ms(args.value()),
+            "--max-conns" => config.max_connections = args.value(),
+            "--retry-after" => config.retry_after = Duration::from_millis(args.value()),
+            "--write-delay-ms" => config.write_delay = off_at_0(args.value()),
+            "--help" | "-h" => args.help(),
+            _ => args.unexpected(),
         }
-        Err(msg) => {
-            eprintln!("sxed: {msg}");
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let cache_dir = opts.config.cache_dir.clone();
-    let server = match Server::start(opts.port, opts.config) {
+    }
+    let cache_dir = config.cache_dir.clone();
+    let server = match Server::start(port, config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("sxed: failed to start: {e}");

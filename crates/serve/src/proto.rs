@@ -131,31 +131,6 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(u8, Vec<u8>)>> {
     Ok(Some((kind, buf)))
 }
 
-/// The textual name of a variant on the wire (matches `sxec --variant`).
-#[must_use]
-pub fn variant_name(v: Variant) -> &'static str {
-    match v {
-        Variant::Baseline => "baseline",
-        Variant::GenUse => "gen-use",
-        Variant::FirstAlgorithm => "first",
-        Variant::BasicUdDu => "basic",
-        Variant::Insert => "insert",
-        Variant::Order => "order",
-        Variant::InsertOrder => "insert-order",
-        Variant::Array => "array",
-        Variant::ArrayInsert => "array-insert",
-        Variant::ArrayOrder => "array-order",
-        Variant::AllPde => "all-pde",
-        Variant::All => "all",
-    }
-}
-
-/// Inverse of [`variant_name`].
-#[must_use]
-pub fn parse_variant(s: &str) -> Option<Variant> {
-    Variant::ALL.into_iter().find(|&v| variant_name(v) == s)
-}
-
 /// A compile request: the `.sxir` source plus per-request options. The
 /// fuel and timeout map onto the interior-atomic
 /// [`Budget`](sxe_ir::Budget) of the compilation; `timeout_ms = Some(0)`
@@ -379,7 +354,7 @@ impl Request {
             Request::Compile(c) => {
                 let mut s = String::new();
                 use fmt::Write as _;
-                let _ = writeln!(s, "variant={}", variant_name(c.variant));
+                let _ = writeln!(s, "variant={}", c.variant.name());
                 let _ = writeln!(s, "target={}", c.target);
                 if let Some(fuel) = c.fuel {
                     let _ = writeln!(s, "fuel={fuel}");
@@ -412,9 +387,7 @@ impl Request {
                 let (headers, body) = split_payload(text)?;
                 let variant = match header(&headers, "variant") {
                     None => Variant::All,
-                    Some(v) => {
-                        parse_variant(v).ok_or_else(|| perr(format!("unknown variant `{v}`")))?
-                    }
+                    Some(v) => v.parse().map_err(perr)?,
                 };
                 // An absent header stays compatible with old clients:
                 // it means the default target.
@@ -722,10 +695,18 @@ mod tests {
 
     #[test]
     fn variant_names_roundtrip() {
+        // The names themselves are pinned in `sxe-core`'s
+        // `names_are_pinned_and_parse_back`; the header carries them as is.
         for v in Variant::ALL {
-            assert_eq!(parse_variant(variant_name(v)), Some(v));
+            let req = Request::Compile(CompileRequest { variant: v, ..CompileRequest::new("x\n") });
+            let (kind, payload) = req.encode();
+            let text = String::from_utf8(payload.clone()).expect("UTF-8 payload");
+            let header = format!("variant={}", v.name());
+            assert!(text.lines().any(|l| l == header), "{v:?}: {text}");
+            assert_eq!(Request::decode(kind, &payload).expect("decodes"), req);
         }
-        assert_eq!(parse_variant("bogus"), None);
+        let err = Request::decode(REQ_COMPILE, b"variant=bogus\n\nx\n").unwrap_err();
+        assert_eq!(err.to_string(), "protocol error: unknown variant `bogus`");
     }
 
     #[test]

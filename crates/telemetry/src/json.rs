@@ -58,15 +58,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The members, if this is an object.
-    #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
 }
 
 /// Quote and escape a string for JSON output.

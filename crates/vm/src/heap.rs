@@ -160,12 +160,6 @@ impl Heap {
         Ok(())
     }
 
-    /// Number of live arrays.
-    #[must_use]
-    pub fn array_count(&self) -> usize {
-        self.arrays.len()
-    }
-
     /// FNV-1a checksum over all array contents, in allocation order. Used
     /// by the differential tests: two executions with identical observable
     /// behaviour produce identical checksums.
